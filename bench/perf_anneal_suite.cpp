@@ -1,18 +1,19 @@
 // Greedy-vs-anneal quality gate over a pinned circuit/budget grid.
 //
 // For every pinned (circuit, delay-budget) cell this runs the sequential
-// greedy reference engine and the annealing engine (opt::search, DESIGN.md
-// Sec. 14) at the SAME budget and compares the committed model power. The
-// annealing engine seeds itself with the greedy result and only ever
-// commits a strict improvement over that seed, so the per-cell contract is
-// hard: anneal must meet or beat greedy everywhere, and across the whole
-// grid it must be strictly better in aggregate — otherwise the global
-// search layer is dead weight and this binary exits 1 so CI fails.
+// budgeted greedy walk (Engine::catalog) and the annealing engine
+// (opt::search, DESIGN.md Sec. 14) at the SAME budget and compares the
+// committed model power. The annealing engine seeds itself with the
+// greedy result and only ever commits a strict improvement over that
+// seed, so the per-cell contract is hard: anneal must meet or beat greedy
+// everywhere, and across the whole grid it must be strictly better in
+// aggregate — otherwise the global search layer is dead weight and this
+// binary exits 1 so CI fails.
 //
 // Two more gates ride along:
 //   * delay ceilings — the post-anneal netlist is re-timed from scratch
-//     and every primary-output arrival is checked against the reference
-//     engine's admissibility rule, orig_arrival * (1 + budget). A
+//     and every primary-output arrival is checked against the greedy
+//     walk's admissibility rule, orig_arrival * (1 + budget). A
 //     violation means the incremental scorer drifted from the real
 //     Elmore timing.
 //   * wall clock — each anneal run must finish within a per-circuit
@@ -52,8 +53,8 @@ namespace {
 
 using namespace tr;
 
-// The pinned grid: small-to-medium Table 3 circuits where the reference
-// engine is still fast, crossed with the budgets the paper's
+// The pinned grid: small-to-medium Table 3 circuits where the anneal
+// runs stay fast, crossed with the budgets the paper's
 // delay-constrained experiments use. Pinning both axes keeps the gate
 // reproducible — a quality regression on any one cell is a hard failure,
 // not something a new circuit mix can average away.
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
       cell.gates = original.gate_count();
 
       opt::OptimizeOptions greedy_options;
-      greedy_options.engine = opt::Engine::reference;
+      greedy_options.engine = opt::Engine::catalog;
       greedy_options.max_circuit_delay_increase = budget;
       netlist::Netlist greedy_nl = original;
       cell.greedy_power =
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
         ++failures;
       }
 
-      // Gate 2: the committed netlist must honour the reference engine's
+      // Gate 2: the committed netlist must honour the greedy walk's
       // per-output admissibility ceiling under a from-scratch re-timing.
       const delay::CircuitDelay after = delay::circuit_delay(anneal_nl, tech);
       for (const netlist::NetId out : outputs) {

@@ -17,9 +17,10 @@
 //   --quick            run the 10-circuit CI subset instead of all 39
 //   --reps=N           repetitions per circuit, best-of-N (default 3)
 //   --out=PATH         JSON output path (default BENCH_optimize.json)
-//   --reference        also time the retained reference engine and record
-//                      the catalog-engine speedup (default: on for --quick,
-//                      off for the full suite, where it would dominate)
+//   --reference        also time the test oracle's sequential reference
+//                      engine (tests/oracle/) and record the catalog-engine
+//                      speedup (default: on for --quick, off for the full
+//                      suite, where it would dominate)
 //   --min-speedup=X    with a reference measurement, exit 1 when the
 //                      same-run speedup drops below X. Hardware cancels
 //                      out of this ratio, so it catches real regressions
@@ -43,6 +44,7 @@
 #include "opt/batch.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
+#include "oracle/reference_oracle.hpp"
 
 namespace {
 
@@ -53,7 +55,7 @@ struct CircuitResult {
   int gates = 0;
   int gates_changed = 0;
   double ms = 0.0;
-  double reference_ms = -1.0;  ///< reference engine, -1 when not measured
+  double reference_ms = -1.0;  ///< oracle engine, -1 when not measured
 };
 
 const std::vector<std::string>& quick_subset() {
@@ -63,18 +65,16 @@ const std::vector<std::string>& quick_subset() {
   return names;
 }
 
-double time_optimize(const netlist::Netlist& original,
-                     const std::map<netlist::NetId, boolfn::SignalStats>& stats,
-                     const celllib::Tech& tech, int reps, opt::Engine engine,
-                     int* gates_changed) {
-  opt::OptimizeOptions options;
-  options.engine = engine;
+/// Best-of-`reps` wall time of `optimize_fn` (an optimize()-shaped call
+/// on a netlist) over fresh copies of `original`.
+template <typename OptimizeFn>
+double time_optimize(const netlist::Netlist& original, int reps,
+                     OptimizeFn optimize_fn, int* gates_changed) {
   double best_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
     netlist::Netlist working = original;  // fresh canonical configs each rep
     const auto t0 = std::chrono::steady_clock::now();
-    const opt::OptimizeReport report =
-        opt::optimize(working, stats, tech, options);
+    const opt::OptimizeReport report = optimize_fn(working);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -147,12 +147,18 @@ int main(int argc, char** argv) {
     CircuitResult row;
     row.name = spec.name;
     row.gates = original.gate_count();
-    row.ms = time_optimize(original, stats, tech, reps, opt::Engine::catalog,
-                           &row.gates_changed);
+    row.ms = time_optimize(
+        original, reps,
+        [&](netlist::Netlist& nl) { return opt::optimize(nl, stats, tech); },
+        &row.gates_changed);
     if (measure_reference) {
       int ignored = 0;
-      row.reference_ms = time_optimize(original, stats, tech, reps,
-                                       opt::Engine::reference, &ignored);
+      row.reference_ms = time_optimize(
+          original, reps,
+          [&](netlist::Netlist& nl) {
+            return oracle::optimize_reference(nl, stats, tech);
+          },
+          &ignored);
       reference_total_ms += row.reference_ms;
     }
     total_ms += row.ms;
@@ -211,7 +217,7 @@ int main(int argc, char** argv) {
                              ? reference_total_ms / total_ms
                              : -1.0;
   if (measure_reference) {
-    std::printf("reference engine: %10.2f ms  -> %.1fx speedup (same run)\n",
+    std::printf("oracle reference: %10.2f ms  -> %.1fx speedup (same run)\n",
                 reference_total_ms, speedup);
   }
 
@@ -246,8 +252,8 @@ int main(int argc, char** argv) {
   std::ofstream(out_path) << json.str();
   std::printf("wrote %s\n", out_path.c_str());
 
-  // Hardware-independent gate: catalog vs reference engine in this very
-  // run, so runner speed cancels out of the ratio.
+  // Hardware-independent gate: catalog engine vs the oracle's reference
+  // engine in this very run, so runner speed cancels out of the ratio.
   if (min_speedup > 0.0) {
     if (!measure_reference) {
       std::cerr << "--min-speedup requires a reference measurement "

@@ -121,20 +121,6 @@ std::vector<GateTopology> GateTopology::all_reorderings() const {
   return out;
 }
 
-std::vector<GateTopology> GateTopology::all_reorderings_brute() const {
-  std::vector<GateTopology> out;
-  std::set<std::string> seen;
-  for (const SpNode& n : enumerate_orderings_brute(nmos_)) {
-    for (const SpNode& p : enumerate_orderings_brute(pmos_)) {
-      GateTopology config(n, p, input_count_);
-      if (seen.insert(config.canonical_key()).second) {
-        out.push_back(std::move(config));
-      }
-    }
-  }
-  return out;
-}
-
 std::uint64_t GateTopology::reordering_count_formula() const {
   return ordering_count(nmos_) * ordering_count(pmos_);
 }

@@ -64,13 +64,6 @@ public:
   /// discovery order with this configuration first.
   std::vector<GateTopology> all_reorderings() const;
 
-  /// Brute-force oracle: direct construction of every series ordering.
-  /// TEST-ONLY — exponential allocation behaviour; nothing under src/ or
-  /// bench/ may call it. Tests assert that all_reorderings() (and the
-  /// catalog enumeration built on it) matches this oracle, which is the
-  /// guard that keeps the fast enumeration honest without death tests.
-  std::vector<GateTopology> all_reorderings_brute() const;
-
   /// Closed-form count of distinct reorderings (Table 2's #C column):
   /// product over both trees of (k! per series node x child products).
   std::uint64_t reordering_count_formula() const;

@@ -179,56 +179,4 @@ std::uint64_t ordering_count(const SpNode& node) {
   return product;
 }
 
-std::vector<SpNode> enumerate_orderings_brute(const SpNode& node) {
-  if (node.is_leaf()) return {node};
-
-  // Orderings of each child, independently.
-  std::vector<std::vector<SpNode>> child_orderings;
-  child_orderings.reserve(node.children.size());
-  for (const SpNode& c : node.children) {
-    child_orderings.push_back(enumerate_orderings_brute(c));
-  }
-
-  // Cartesian product over child choices.
-  std::vector<std::vector<SpNode>> combos{{}};
-  for (const auto& options : child_orderings) {
-    std::vector<std::vector<SpNode>> next;
-    next.reserve(combos.size() * options.size());
-    for (const auto& prefix : combos) {
-      for (const SpNode& option : options) {
-        std::vector<SpNode> extended = prefix;
-        extended.push_back(option);
-        next.push_back(std::move(extended));
-      }
-    }
-    combos = std::move(next);
-  }
-
-  std::vector<SpNode> results;
-  if (node.kind == SpNode::Kind::parallel) {
-    results.reserve(combos.size());
-    for (auto& combo : combos) {
-      SpNode n;
-      n.kind = node.kind;
-      n.children = std::move(combo);
-      results.push_back(std::move(n));
-    }
-    return results;
-  }
-
-  // Series: additionally permute the child order.
-  for (auto& combo : combos) {
-    std::vector<std::size_t> perm(combo.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    do {
-      SpNode n;
-      n.kind = SpNode::Kind::series;
-      n.children.reserve(combo.size());
-      for (std::size_t i : perm) n.children.push_back(combo[i]);
-      results.push_back(std::move(n));
-    } while (std::next_permutation(perm.begin(), perm.end()));
-  }
-  return results;
-}
-
 }  // namespace tr::gategraph

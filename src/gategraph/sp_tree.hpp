@@ -89,10 +89,4 @@ std::string encode_anonymized(const SpNode& node);
 /// every library cell).
 std::uint64_t ordering_count(const SpNode& node);
 
-/// All distinct orderings of the tree by direct recursive construction
-/// (series-child permutations x child orderings). Used as the brute-force
-/// oracle against the pivot algorithm. Parallel children are emitted in
-/// canonical (encoding-sorted) order.
-std::vector<SpNode> enumerate_orderings_brute(const SpNode& node);
-
 }  // namespace tr::gategraph

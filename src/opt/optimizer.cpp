@@ -3,9 +3,9 @@
 #include <cmath>
 #include <mutex>
 #include <optional>
+#include <string>
 
 #include "celllib/cell.hpp"
-#include "delay/elmore.hpp"
 #include "gategraph/gate_graph.hpp"
 #include "opt/search.hpp"
 #include "power/gate_power.hpp"
@@ -18,10 +18,18 @@ namespace tr::opt {
 const char* engine_name(Engine engine) noexcept {
   switch (engine) {
     case Engine::catalog: return "catalog";
-    case Engine::reference: return "reference";
     case Engine::anneal: return "anneal";
   }
   return "unknown";
+}
+
+Engine engine_from_name(std::string_view name) {
+  for (const Engine engine : {Engine::catalog, Engine::anneal}) {
+    if (name == engine_name(engine)) return engine;
+  }
+  throw Error("unknown engine '" + std::string(name) +
+                  "' (expected catalog|anneal)",
+              ErrorCode::invalid_argument);
 }
 
 using boolfn::SignalStats;
@@ -33,23 +41,6 @@ using gategraph::GateTopology;
 using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
-
-std::vector<std::pair<GateTopology, double>> score_configurations_reference(
-    const GateTopology& config, const std::vector<SignalStats>& inputs,
-    double external_load, const celllib::Tech& tech, power::ModelKind model) {
-  std::vector<std::pair<GateTopology, double>> scored;
-  for (GateTopology& candidate : config.all_reorderings()) {
-    const GateGraph graph(candidate);
-    const std::vector<double> caps =
-        celllib::node_capacitances(graph, tech, external_load);
-    const power::GatePower gp =
-        model == power::ModelKind::extended
-            ? power::evaluate_gate_power(graph, caps, inputs, tech)
-            : power::evaluate_output_only_power(graph, caps, inputs, tech);
-    scored.emplace_back(std::move(candidate), gp.total_power);
-  }
-  return scored;
-}
 
 const std::vector<double>& score_catalog(const ReorderCatalog& catalog,
                                          const std::vector<SignalStats>& inputs,
@@ -117,152 +108,8 @@ std::vector<std::pair<GateTopology, double>> score_configurations(
 
 namespace {
 
-/// The retained sequential engine (pre-catalog implementation): scores
-/// with per-candidate graph rebuilds and commits gate by gate along the
-/// topological traversal. Sole engine for arrival-budgeted runs, whose
-/// admissibility depends on already-committed fan-in configurations.
-OptimizeReport optimize_reference(Netlist& netlist,
-                                  const std::map<NetId, SignalStats>& pi_stats,
-                                  const celllib::Tech& tech,
-                                  const OptimizeOptions& options) {
-  netlist.validate();
-
-  // OBTAIN_PROBABILITIES: net statistics, filled during the traversal.
-  std::vector<SignalStats> net_stats(
-      static_cast<std::size_t>(netlist.net_count()), SignalStats{0.5, 0.0});
-  for (NetId id : netlist.primary_inputs()) {
-    const auto it = pi_stats.find(id);
-    require(it != pi_stats.end(),
-            "optimize: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
-    net_stats[static_cast<std::size_t>(id)] = it->second;
-  }
-
-  OptimizeReport report;
-  report.engine_used = Engine::reference;
-  report.threads_used = 1;  // the traversal is inherently sequential
-  report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
-
-  // Arrival budgeting (conclusion (b)): per-net arrival ceilings from the
-  // incoming mapping, and the running arrivals of the optimized netlist.
-  const bool budget_delay = options.max_circuit_delay_increase.has_value();
-  std::vector<double> arrival_budget;
-  std::vector<double> arrival;
-  if (budget_delay) {
-    const delay::CircuitDelay timing = delay::circuit_delay(netlist, tech);
-    arrival_budget.resize(timing.net_arrival.size());
-    for (std::size_t i = 0; i < timing.net_arrival.size(); ++i) {
-      arrival_budget[i] =
-          timing.net_arrival[i] * (1.0 + *options.max_circuit_delay_increase);
-    }
-    arrival.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
-  }
-
-  // DEPTH_FIRST_TRAVERSE: every gate after its transitive fan-in.
-  // Cancellation mid-traversal leaves committed configurations behind;
-  // the containment layer (BatchOptimizer) restores the netlist from its
-  // pre-optimize snapshot, keeping cancellation all-or-nothing.
-  const bool cancellable = options.cancel.valid();
-  for (GateId g : netlist.topological_order()) {
-    if (cancellable) options.cancel.check("optimize");
-    const netlist::GateInst& inst = netlist.gate(g);
-
-    // OBTAIN_PROB_AND_DENS.
-    std::vector<SignalStats> inputs;
-    inputs.reserve(inst.inputs.size());
-    for (NetId in : inst.inputs) {
-      inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
-    }
-
-    // FIND_BEST_REORDERING: exhaustive exploration (Fig. 4) + model.
-    const double load = netlist.external_load(g, tech);
-    const auto scored = score_configurations_reference(inst.config, inputs,
-                                                       load, tech,
-                                                       options.model);
-    TR_ASSERT(!scored.empty());
-
-    // Admissibility filters (paper conclusions (a) and (b)).
-    std::vector<bool> admissible(scored.size(), true);
-    if (options.restrict_to_instance) {
-      const std::string instance = inst.config.instance_key();
-      for (std::size_t i = 0; i < scored.size(); ++i) {
-        if (scored[i].first.instance_key() != instance) {
-          admissible[i] = false;
-          ++report.configs_rejected_by_instance;
-        }
-      }
-    }
-    std::vector<double> candidate_arrival(scored.size(), 0.0);
-    if (budget_delay) {
-      const auto arrival_of = [&](const gategraph::GateTopology& config) {
-        const GateGraph graph(config);
-        const auto caps = celllib::node_capacitances(graph, tech, load);
-        const delay::GateDelays delays = delay::gate_delays(graph, caps, tech);
-        double out = 0.0;
-        for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-          out = std::max(
-              out, arrival[static_cast<std::size_t>(inst.inputs[pin])] +
-                       delays.pin_delay[pin]);
-        }
-        return out;
-      };
-      const double budget =
-          arrival_budget[static_cast<std::size_t>(inst.output)];
-      for (std::size_t i = 0; i < scored.size(); ++i) {
-        candidate_arrival[i] = arrival_of(scored[i].first);
-        // The incoming configuration (i == 0) always fits the budget (its
-        // pin delays are the original ones and input arrivals are within
-        // their own budgets), so the fallback is always available.
-        if (i > 0 && candidate_arrival[i] > budget + 1e-18) {
-          admissible[i] = false;
-          ++report.configs_rejected_by_delay;
-        }
-      }
-      TR_ASSERT(candidate_arrival[0] <= budget + 1e-15);
-    }
-
-    GateDecision decision;
-    decision.gate = g;
-    decision.config_count = static_cast<int>(scored.size());
-    decision.original_power = scored.front().second;  // incoming config first
-    decision.best_power = scored.front().second;
-    decision.worst_power = scored.front().second;
-    std::size_t chosen = 0;
-    for (std::size_t i = 0; i < scored.size(); ++i) {
-      const double p = scored[i].second;
-      if (p < decision.best_power) decision.best_power = p;
-      if (p > decision.worst_power) decision.worst_power = p;
-      if (!admissible[i]) continue;
-      const bool better = options.objective == Objective::minimize_power
-                              ? p < scored[chosen].second
-                              : p > scored[chosen].second;
-      if (better) chosen = i;
-    }
-    decision.chosen_power = scored[chosen].second;
-    decision.changed = chosen != 0;
-    if (decision.changed) {
-      netlist.set_config(g, scored[chosen].first);
-      ++report.gates_changed;
-    }
-    if (budget_delay) {
-      arrival[static_cast<std::size_t>(inst.output)] =
-          candidate_arrival[chosen];
-    }
-    report.model_power_before += decision.original_power;
-    report.model_power_after += decision.chosen_power;
-    report.decisions[static_cast<std::size_t>(g)] = decision;
-
-    // CALCULATE_DENS + UPDATE_CIRCUIT_INFORMATION: output statistics from
-    // the cell function — identical for every configuration (Sec. 4.2).
-    const boolfn::TruthTable f =
-        netlist.library().cell(inst.cell).function();
-    net_stats[static_cast<std::size_t>(inst.output)] =
-        boolfn::propagate(f, inputs);
-  }
-  return report;
-}
-
-/// The default gate-parallel engine (catalog + word-parallel kernel).
+/// The unbudgeted gate-parallel engine (catalog + word-parallel kernel):
+/// without arrival ceilings every gate's choice is independent.
 OptimizeReport optimize_catalog(Netlist& netlist,
                                 const std::map<NetId, SignalStats>& pi_stats,
                                 const celllib::Tech& tech,
@@ -273,28 +120,9 @@ OptimizeReport optimize_catalog(Netlist& netlist,
   // pass: output statistics come from the cell function and are identical
   // for every configuration (Sec. 4.2), so they never depend on any
   // reordering decision.
-  std::vector<SignalStats> net_stats(
-      static_cast<std::size_t>(netlist.net_count()), SignalStats{0.5, 0.0});
-  for (NetId id : netlist.primary_inputs()) {
-    const auto it = pi_stats.find(id);
-    require(it != pi_stats.end(),
-            "optimize: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
-    net_stats[static_cast<std::size_t>(id)] = it->second;
-  }
+  const std::vector<SignalStats> net_stats =
+      power::propagate_activity(netlist, pi_stats).net_stats;
   const std::vector<GateId> topo_order = netlist.topological_order();
-  std::vector<std::vector<SignalStats>> gate_inputs(
-      static_cast<std::size_t>(netlist.gate_count()));
-  for (GateId g : topo_order) {
-    const netlist::GateInst& inst = netlist.gate(g);
-    std::vector<SignalStats>& inputs = gate_inputs[static_cast<std::size_t>(g)];
-    inputs.reserve(inst.inputs.size());
-    for (NetId in : inst.inputs) {
-      inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
-    }
-    net_stats[static_cast<std::size_t>(inst.output)] = boolfn::propagate(
-        netlist.library().cell(inst.cell).function(), inputs);
-  }
 
   // Catalog prefetch, serial: the CellLibrary cache makes this one
   // characterisation per distinct cell configuration, shared by all gates.
@@ -338,12 +166,17 @@ OptimizeReport optimize_catalog(Netlist& netlist,
       static_cast<std::size_t>(netlist.gate_count()), [&](std::size_t gi) {
         if (cancellable) options.cancel.check("optimize");
         thread_local ScoreScratch scratch;
+        thread_local std::vector<SignalStats> inputs;
         const GateId g = static_cast<GateId>(gi);
+        inputs.clear();
+        for (NetId in : netlist.gate(g).inputs) {
+          inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
+        }
         const ReorderCatalog& catalog = *catalogs[gi];
         const double load = netlist.external_load(g, tech);
         const std::vector<double>& powers = with_error_site("score", [&]() -> const std::vector<double>& {
-          return score_catalog(catalog, gate_inputs[gi], load, tech,
-                               options.model, scratch);
+          return score_catalog(catalog, inputs, load, tech, options.model,
+                               scratch);
         });
         TR_ASSERT(!powers.empty());
 
@@ -380,10 +213,9 @@ OptimizeReport optimize_catalog(Netlist& netlist,
   if (cancellable) options.cancel.check("optimize");
 
   // UPDATE_CIRCUIT_INFORMATION: commit and assemble deterministically in
-  // GateId order; power totals accumulate in topological order to stay
-  // bit-identical with the reference engine's running sums.
+  // GateId order; power totals accumulate in topological order, the
+  // summation order of the sequential engines' commit (opt/search.cpp).
   OptimizeReport report;
-  report.engine_used = Engine::catalog;
   report.threads_used = pool->thread_count();
   report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
   for (GateId g = 0; g < netlist.gate_count(); ++g) {
@@ -422,14 +254,10 @@ OptimizeReport optimize(Netlist& netlist,
       return search::anneal_optimize(netlist, pi_stats, tech, options);
     }
     // Arrival budgeting couples a gate's admissible set to its fan-in
-    // gates' committed configurations — inherently sequential, so a
-    // budgeted catalog request is downgraded to the reference engine
-    // (legacy fallback; Engine::anneal lifts the restriction — see
-    // DESIGN.md Sec. 14 for the removal plan). The report's engine_used
-    // records the downgrade.
-    if (options.engine == Engine::reference ||
-        options.max_circuit_delay_increase.has_value()) {
-      return optimize_reference(netlist, pi_stats, tech, options);
+    // gates' committed configurations: one sequential walk over the
+    // precomputed tables.
+    if (options.max_circuit_delay_increase.has_value()) {
+      return search::greedy_optimize(netlist, pi_stats, tech, options);
     }
     return optimize_catalog(netlist, pi_stats, tech, options);
   });

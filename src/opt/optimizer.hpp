@@ -11,17 +11,19 @@
 // boolean kernel, and commits the best one. Gates are scored concurrently
 // on a small thread pool; results are deterministic regardless of thread
 // count (per-gate tie-breaking keeps enumeration order, the report is
-// assembled in GateId order and accumulated in topological order, exactly
-// like the reference engine).
+// assembled in GateId order and accumulated in topological order).
 //
-// The pre-catalog implementation — rebuild a GateGraph and re-run the
-// path-function DFS for every candidate — is retained as
-// Engine::reference; the parity test suite asserts both engines return
-// bit-identical reports.
+// Under a delay budget a gate's admissible set depends on its fan-in
+// gates' committed configurations, so budgeted runs take the one
+// sequential greedy walk of the table-driven search layer instead
+// (search::greedy_seed, opt/search.hpp). The pre-catalog per-candidate
+// graph-rebuild engine lives on only as the tests' oracle
+// (tests/oracle/); the parity suite asserts bit-identical reports.
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,23 +44,26 @@ enum class Objective { minimize_power, maximize_power };
 
 /// Which scoring engine optimize() runs.
 enum class Engine {
-  /// Catalog + word-parallel kernel + gate-parallel traversal (default).
+  /// The paper's greedy pass (default): catalog + word-parallel kernel +
+  /// gate-parallel traversal; with a delay budget, the sequential
+  /// table-driven greedy walk (search::greedy_seed).
   catalog,
-  /// The retained per-candidate graph-rebuild scorer: the parity oracle,
-  /// and the legacy fallback for arrival budgeting (which makes per-gate
-  /// decisions order-dependent).
-  reference,
   /// Iterated local search / simulated annealing over joint gate
   /// configurations on the incremental fanout-cone rescorer
-  /// (opt/search.hpp, DESIGN.md Sec. 14). Seeded from a table-driven
-  /// greedy that is bit-identical to the reference engine, so the result
-  /// never loses to greedy at the same delay budget. Deterministic per
-  /// (inputs, options, anneal.seed); always runs its search serially.
+  /// (opt/search.hpp, DESIGN.md Sec. 14). Seeded from the catalog
+  /// engine's greedy walk, so the result never loses to greedy at the
+  /// same delay budget. Deterministic per (inputs, options,
+  /// anneal.seed); always runs its search serially.
   anneal,
 };
 
 /// Stable lowercase engine names — the JSON/report encoding of Engine.
 const char* engine_name(Engine engine) noexcept;
+
+/// Inverse of engine_name — the one parser behind the CLI flag, the
+/// request field and the checkpoint manifest. Throws tr::Error
+/// (invalid_argument) naming the accepted values for anything else.
+Engine engine_from_name(std::string_view name);
 
 /// Knobs of the annealing engine (used when engine == Engine::anneal).
 /// All defaults are deterministic; the search length is a pure function
@@ -98,10 +103,10 @@ struct OptimizeOptions {
   /// without increasing the delay of the circuit", distinct from
   /// nullopt (the default), which disables the constraint entirely.
   /// The value must be finite and >= 0 (enforced by optimize()).
-  /// Budgeted greedy runs fall back to the sequential reference engine
-  /// (a gate's admissible set depends on its fan-in gates' committed
-  /// configurations); Engine::anneal lifts that restriction to a global
-  /// search over per-output ceilings (DESIGN.md Sec. 14).
+  /// Budgeted greedy runs are sequential (a gate's admissible set
+  /// depends on its fan-in gates' committed configurations);
+  /// Engine::anneal lifts the per-net ceilings to a global search over
+  /// per-output ceilings (DESIGN.md Sec. 14).
   std::optional<double> max_circuit_delay_increase;
 
   /// Paper conclusion (a): when true, only configurations realisable by
@@ -118,15 +123,14 @@ struct OptimizeOptions {
   AnnealParams anneal;
 
   /// Worker threads for the gate-parallel phase; 0 = one per hardware
-  /// thread, 1 = serial. Ignored by the reference engine.
+  /// thread, 1 = serial. Ignored by the sequential (budgeted greedy and
+  /// annealing) runs.
   int threads = 0;
 
   /// Cooperative cancellation, polled at gate granularity. A cancelled
-  /// run throws tr::Cancelled before any configuration is committed
-  /// (catalog engine) or mid-traversal (reference engine — the batch
-  /// layer restores the netlist), so the caller never observes a
-  /// partially optimized circuit with result numbers attached. The
-  /// default token is inert.
+  /// run throws tr::Cancelled before any configuration is committed, so
+  /// the caller never observes a partially optimized circuit with
+  /// result numbers attached. The default token is inert.
   util::CancellationToken cancel;
 };
 
@@ -159,22 +163,15 @@ struct OptimizeReport {
   double model_power_after = 0.0;   ///< circuit gate power, committed configs
   int gates_changed = 0;
   /// Candidates rejected by the delay constraint (0 when disabled). For
-  /// the annealing engine this counts the greedy seed phase, whose
-  /// semantics match the reference engine; move-level rejections live in
-  /// `anneal`.
+  /// the annealing engine this counts the greedy seed phase; move-level
+  /// rejections live in `anneal`.
   int configs_rejected_by_delay = 0;
   /// Candidates skipped by the instance restriction (0 when disabled).
   int configs_rejected_by_instance = 0;
-  /// The engine that actually ran — recorded by optimize() itself, so
-  /// consumers never have to re-infer routing from the options (a
-  /// delay-budgeted Engine::catalog request is downgraded to reference
-  /// while that fallback exists; see optimize()).
-  Engine engine_used = Engine::catalog;
   /// Gate-level worker threads the scoring phase actually used (1 for
-  /// the sequential reference and annealing engines) — surfaces the
-  /// silent thread-count downgrade of budgeted runs.
+  /// the sequential budgeted greedy and annealing runs).
   int threads_used = 1;
-  /// Present iff engine_used == Engine::anneal.
+  /// Present iff the run used Engine::anneal.
   std::optional<AnnealStats> anneal;
 };
 
@@ -213,16 +210,6 @@ std::vector<std::pair<gategraph::GateTopology, double>> score_configurations(
     const gategraph::GateTopology& config,
     const std::vector<boolfn::SignalStats>& inputs, double external_load,
     const celllib::Tech& tech, power::ModelKind model, ScoreScratch& scratch);
-
-/// The retained pre-catalog scorer: rebuilds a GateGraph and re-runs the
-/// path-function DFS per candidate. Kept as the parity oracle for the
-/// fast path (tests/test_opt_parity.cpp); not used on the hot path.
-std::vector<std::pair<gategraph::GateTopology, double>>
-score_configurations_reference(
-    const gategraph::GateTopology& config,
-    const std::vector<boolfn::SignalStats>& inputs, double external_load,
-    const celllib::Tech& tech,
-    power::ModelKind model = power::ModelKind::extended);
 
 /// Optimizes `netlist` in place (paper Fig. 3). `pi_stats` must cover all
 /// primary inputs. Deterministic: ties keep the first configuration in

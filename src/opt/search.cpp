@@ -22,12 +22,56 @@ using netlist::Netlist;
 
 namespace {
 
-/// Admissibility slop of the arrival ceilings — the same epsilon the
-/// reference engine applies to its per-net budgets, so "feasible" means
-/// the same thing in both engines.
+/// Admissibility slop of the arrival ceilings — the same epsilon for the
+/// greedy walk's per-net budgets and the annealer's per-output ceilings,
+/// so "feasible" means the same thing in both.
 constexpr double k_budget_epsilon = 1e-18;
 
 constexpr double k_inf = std::numeric_limits<double>::infinity();
+
+/// The sequential engines' shared commit: writes `configs` into
+/// `netlist` and assembles the report — decisions in GateId order, power
+/// totals accumulated in topological order, the walk's rejection
+/// counters.
+OptimizeReport commit_configs(Netlist& netlist,
+                              const IncrementalScorer& scorer,
+                              const std::vector<int>& configs,
+                              const GreedySeed& seed) {
+  OptimizeReport report;
+  report.threads_used = 1;
+  report.configs_rejected_by_delay = seed.rejected_delay;
+  report.configs_rejected_by_instance = seed.rejected_instance;
+  report.decisions.resize(static_cast<std::size_t>(scorer.gate_count()));
+  for (GateId g = 0; g < scorer.gate_count(); ++g) {
+    const GateTable& table = scorer.table(g);
+    GateDecision decision;
+    decision.gate = g;
+    decision.config_count = table.config_count();
+    decision.original_power = table.power.front();
+    decision.best_power = table.power.front();
+    decision.worst_power = table.power.front();
+    for (const double p : table.power) {
+      if (p < decision.best_power) decision.best_power = p;
+      if (p > decision.worst_power) decision.worst_power = p;
+    }
+    const int cfg = configs[static_cast<std::size_t>(g)];
+    decision.chosen_power = table.power[static_cast<std::size_t>(cfg)];
+    decision.changed = cfg != 0;
+    if (decision.changed) {
+      netlist.set_config(
+          g, table.catalog->configs()[static_cast<std::size_t>(cfg)].topology);
+      ++report.gates_changed;
+    }
+    report.decisions[static_cast<std::size_t>(g)] = decision;
+  }
+  for (GateId g : scorer.topo_order()) {
+    report.model_power_before +=
+        report.decisions[static_cast<std::size_t>(g)].original_power;
+    report.model_power_after +=
+        report.decisions[static_cast<std::size_t>(g)].chosen_power;
+  }
+  return report;
+}
 
 }  // namespace
 
@@ -40,15 +84,8 @@ IncrementalScorer::IncrementalScorer(
 
   // Signal statistics are configuration-invariant (paper Sec. 4.2): one
   // topological pass fixes every gate's input statistics for good.
-  std::vector<SignalStats> net_stats(
-      static_cast<std::size_t>(netlist.net_count()), SignalStats{0.5, 0.0});
-  for (NetId id : netlist.primary_inputs()) {
-    const auto it = pi_stats.find(id);
-    require(it != pi_stats.end(),
-            "search: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
-    net_stats[static_cast<std::size_t>(id)] = it->second;
-  }
+  const std::vector<SignalStats> net_stats =
+      power::propagate_activity(netlist, pi_stats).net_stats;
 
   topo_order_ = netlist.topological_order();
   topo_rank_.assign(static_cast<std::size_t>(netlist.gate_count()), 0);
@@ -56,22 +93,21 @@ IncrementalScorer::IncrementalScorer(
     topo_rank_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
   }
 
-  // Per-gate tables. Powers go through the word-parallel catalog scorer
-  // (bit-identical to the reference per-candidate scorer by the parity
-  // suite); pin delays go through the very delay::gate_delays code path
-  // the reference engine runs, memoised per (catalog, external load) —
-  // gates sharing a cell configuration and load share one delay table.
+  // Per-gate tables. Powers go through the word-parallel catalog scorer;
+  // pin delays go through the very delay::gate_delays code path static
+  // timing runs, memoised per (catalog, external load) — gates sharing a
+  // cell configuration and load share one delay table.
   tables_.resize(static_cast<std::size_t>(netlist.gate_count()));
   std::map<std::pair<const ReorderCatalog*, double>,
            std::shared_ptr<const std::vector<std::vector<double>>>>
       delay_cache;
   ScoreScratch scratch;
+  std::vector<SignalStats> inputs;
   const bool cancellable = cancel.valid();
   for (GateId g : topo_order_) {
-    if (cancellable) cancel.check("search");
+    if (cancellable) cancel.check("optimize");
     const netlist::GateInst& inst = netlist.gate(g);
-    std::vector<SignalStats> inputs;
-    inputs.reserve(inst.inputs.size());
+    inputs.clear();
     for (NetId in : inst.inputs) {
       inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
     }
@@ -99,9 +135,6 @@ IncrementalScorer::IncrementalScorer(
       cached = delay_cache.emplace(key, std::move(delays)).first;
     }
     table.pin_delay = cached->second;
-
-    net_stats[static_cast<std::size_t>(inst.output)] = boolfn::propagate(
-        netlist.library().cell(inst.cell).function(), inputs);
   }
 
   config_.assign(static_cast<std::size_t>(netlist.gate_count()), 0);
@@ -298,11 +331,10 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
   GreedySeed seed;
   seed.configs.assign(static_cast<std::size_t>(scorer.gate_count()), 0);
 
-  // The reference engine's arrival budgeting, off the tables: per-net
-  // ceilings of (1 + f) x the original arrival (the scorer still holds
-  // configuration 0 everywhere, so its arrivals are the original ones),
-  // running arrivals of the partially committed netlist, and the same
-  // 1e-18 admissibility epsilon.
+  // Arrival budgeting (paper conclusion (b)): per-net ceilings of
+  // (1 + f) x the original arrival (the scorer still holds configuration
+  // 0 everywhere, so its arrivals are the original ones) against the
+  // running arrivals of the partially committed netlist.
   const bool budget_delay = options.max_circuit_delay_increase.has_value();
   std::vector<double> arrival_budget;
   std::vector<double> arrival;
@@ -348,6 +380,8 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
           ++seed.rejected_delay;
         }
       }
+      // The incoming configuration always fits: its pin delays are the
+      // original ones and its input arrivals are within their budgets.
       TR_ASSERT(candidate_arrival[0] <= budget + 1e-15);
     }
 
@@ -366,6 +400,18 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
     }
   }
   return seed;
+}
+
+OptimizeReport greedy_optimize(Netlist& netlist,
+                               const std::map<NetId, SignalStats>& pi_stats,
+                               const celllib::Tech& tech,
+                               const OptimizeOptions& options) {
+  const IncrementalScorer scorer(netlist, pi_stats, tech, options.model,
+                                 options.cancel);
+  const GreedySeed seed = greedy_seed(scorer, options);
+  // Last cancellation point: past here the netlist is mutated.
+  if (options.cancel.valid()) options.cancel.check("optimize");
+  return commit_configs(netlist, scorer, seed.configs, seed);
 }
 
 OptimizeReport anneal_optimize(Netlist& netlist,
@@ -510,40 +556,8 @@ OptimizeReport anneal_optimize(Netlist& netlist,
   if (!use_best) scorer.set_configs(seed.configs);
   TR_ASSERT(scorer.feasible());
 
-  OptimizeReport report;
-  report.engine_used = Engine::anneal;
-  report.threads_used = 1;
-  report.configs_rejected_by_delay = seed.rejected_delay;
-  report.configs_rejected_by_instance = seed.rejected_instance;
-  report.decisions.resize(static_cast<std::size_t>(gates));
-  for (GateId g = 0; g < gates; ++g) {
-    const GateTable& table = scorer.table(g);
-    GateDecision decision;
-    decision.gate = g;
-    decision.config_count = table.config_count();
-    decision.original_power = table.power.front();
-    decision.best_power = table.power.front();
-    decision.worst_power = table.power.front();
-    for (const double p : table.power) {
-      if (p < decision.best_power) decision.best_power = p;
-      if (p > decision.worst_power) decision.worst_power = p;
-    }
-    const int cfg = scorer.config_of(g);
-    decision.chosen_power = table.power[static_cast<std::size_t>(cfg)];
-    decision.changed = cfg != 0;
-    if (decision.changed) {
-      netlist.set_config(
-          g, table.catalog->configs()[static_cast<std::size_t>(cfg)].topology);
-      ++report.gates_changed;
-    }
-    report.decisions[static_cast<std::size_t>(g)] = decision;
-  }
-  for (GateId g : scorer.topo_order()) {
-    report.model_power_before +=
-        report.decisions[static_cast<std::size_t>(g)].original_power;
-    report.model_power_after +=
-        report.decisions[static_cast<std::size_t>(g)].chosen_power;
-  }
+  OptimizeReport report =
+      commit_configs(netlist, scorer, scorer.configs(), seed);
   stats.greedy_power = greedy_power;
   stats.final_power = report.model_power_after;
   report.anneal = stats;

@@ -1,7 +1,7 @@
 #pragma once
 // Delay-constrained global search (DESIGN.md Sec. 14).
 //
-// The greedy engines commit one configuration per gate in a single
+// The greedy engine commits one configuration per gate in a single
 // topological pass. Under a delay budget that is doubly conservative:
 // every *net* is pinned to its original arrival ceiling (a gate may not
 // borrow slack a downstream path never uses), and decisions are never
@@ -11,13 +11,13 @@
 // paths aggressively while the primary-output ceilings protect the
 // critical ones.
 //
-// Two pieces:
+// Three pieces:
 //
 //  * IncrementalScorer — the rescoring core. One-time setup precomputes,
 //    per gate, the model power and the per-pin Elmore delays of *every*
 //    catalog configuration (power through the word-parallel catalog
-//    scorer, delays through the same delay::gate_delays path the
-//    reference engine runs, memoised per (catalog, external load)).
+//    scorer, delays through the same delay::gate_delays path static
+//    timing runs, memoised per (catalog, external load)).
 //    After that a configuration move costs only a table lookup plus an
 //    arrival propagation over the move's fanout cone: gates are
 //    re-evaluated in topological-rank order, each at most once, and
@@ -28,18 +28,23 @@
 //    delay::circuit_delay on the materialised netlist) — is pinned by
 //    tests/test_search.cpp.
 //
+//  * greedy_seed / greedy_optimize — the paper's greedy walk under
+//    per-net arrival ceilings, read off the scorer's tables. This is the
+//    route optimize() takes for every delay-budgeted Engine::catalog
+//    request; the test oracle's per-candidate graph-rebuild engine
+//    (tests/oracle/) pins it bit-identically.
+//
 //  * anneal_optimize — iterated local search / simulated annealing over
-//    the scorer. Seeded from greedy_seed (a table-driven replica of the
-//    engines' greedy pass, bit-identical to them by the parity suite),
-//    it draws single-gate configuration moves from a seeded stream,
-//    keeps per-output arrival ceilings hard (a move that leaves any
-//    primary output beyond (1 + budget) x its original arrival is
-//    rejected), prunes obviously infeasible moves early against
-//    periodically refreshed required times (per-path slack budgets),
-//    and tracks the best feasible state. Because the search starts at
-//    the greedy solution and the final commit never picks a worse true
-//    objective than the seed, annealing meets or beats greedy at the
-//    same delay budget on every circuit, deterministically per seed.
+//    the scorer. Seeded from greedy_seed, it draws single-gate
+//    configuration moves from a seeded stream, keeps per-output arrival
+//    ceilings hard (a move that leaves any primary output beyond
+//    (1 + budget) x its original arrival is rejected), prunes obviously
+//    infeasible moves early against periodically refreshed required
+//    times (per-path slack budgets), and tracks the best feasible state.
+//    Because the search starts at the greedy solution and the final
+//    commit never picks a worse true objective than the seed, annealing
+//    meets or beats greedy at the same delay budget on every circuit,
+//    deterministically per seed.
 
 #include <cstdint>
 #include <map>
@@ -183,13 +188,13 @@ private:
   std::vector<char> queued_;
 };
 
-/// Table-driven replica of the greedy engines' one-pass commit:
+/// The paper's greedy one-pass walk (Fig. 3) off the scorer's tables:
 /// topological traversal, per-net arrival budgets of
-/// (1 + budget) x original, enumeration-order tie-breaking — produced
-/// purely from the scorer's tables, bit-identical in its decisions to
-/// optimize() with Engine::reference (budgeted) or Engine::catalog
-/// (unconstrained), as pinned by tests/test_search.cpp. The scorer must
-/// still hold the incoming configurations (all zero).
+/// (1 + budget) x original, enumeration-order tie-breaking. Without a
+/// budget its decisions equal the gate-parallel catalog pass; with or
+/// without one they are bit-identical to the test oracle's reference
+/// engine (tests/test_search.cpp). The scorer must still hold the
+/// incoming configurations (all zero).
 struct GreedySeed {
   std::vector<int> configs;  ///< chosen configuration per gate, GateId order
   int rejected_delay = 0;
@@ -197,6 +202,15 @@ struct GreedySeed {
 };
 GreedySeed greedy_seed(const IncrementalScorer& scorer,
                        const OptimizeOptions& options);
+
+/// The delay-budgeted route of optimize(Engine::catalog): builds the
+/// scorer, runs greedy_seed and commits its configurations. Sequential
+/// (threads_used == 1); cancellation is all-or-nothing — a cancelled
+/// run throws before the netlist is touched.
+OptimizeReport greedy_optimize(
+    netlist::Netlist& netlist,
+    const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
+    const celllib::Tech& tech, const OptimizeOptions& options);
 
 /// The annealing engine behind optimize(Engine::anneal): greedy seed,
 /// seeded simulated annealing over single-gate configuration moves with

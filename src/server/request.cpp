@@ -99,14 +99,10 @@ OptimizeRequest parse_request(std::string_view json_text) {
       }
     } else if (key == "engine") {
       const std::string& e = value.as_string("engine");
-      if (e == "catalog") {
-        request.batch.opt.engine = opt::Engine::catalog;
-      } else if (e == "reference") {
-        request.batch.opt.engine = opt::Engine::reference;
-      } else if (e == "anneal") {
-        request.batch.opt.engine = opt::Engine::anneal;
-      } else {
-        reject("engine must be \"catalog\", \"reference\" or \"anneal\"");
+      try {
+        request.batch.opt.engine = opt::engine_from_name(e);
+      } catch (const Error& error) {
+        reject(error.what());
       }
     } else if (key == "anneal_seed") {
       request.batch.opt.anneal.seed = value.as_u64("anneal_seed");

@@ -20,7 +20,7 @@
 //   objective  "minimize" | "maximize"          (default minimize)
 //   model      "extended" | "output_only"       (default extended)
 //   delay_budget  number >= 0 or null           (default null = off)
-//   engine     "catalog" | "reference" | "anneal"  (default catalog)
+//   engine     "catalog" | "anneal"                (default catalog)
 //   anneal_seed   non-negative integer          (default 1)
 //   anneal_iters  integer >= 1, moves per gate  (default 256)
 //   restrict_instance  bool                     (default false)

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -135,14 +136,16 @@ TEST(CancellationToken, NonFiniteDeadlineIsRejected) {
 // Pipeline entry points throw Cancelled
 
 TEST(Cancellation, OptimizeThrowsAndLeavesNetlistUntouched) {
-  for (const Engine engine : {Engine::catalog, Engine::reference}) {
+  // Both catalog routes: the gate-parallel pass and the budgeted walk.
+  for (const std::optional<double> budget :
+       {std::optional<double>(), std::optional<double>(0.05)}) {
     BatchCircuit circuit = make_scenario_circuit(
         benchgen::build_benchmark(lib(), benchgen::suite_entry("b1")), 'A',
         kSeed);
     const std::vector<std::string> before = config_keys(circuit.netlist);
 
     OptimizeOptions options;
-    options.engine = engine;
+    options.max_circuit_delay_increase = budget;
     options.cancel = CancellationToken::with_deadline_ms(0.0);
     try {
       optimize(circuit.netlist, circuit.pi_stats, Tech{}, options);
@@ -152,7 +155,7 @@ TEST(Cancellation, OptimizeThrowsAndLeavesNetlistUntouched) {
       EXPECT_STREQ("optimize cancelled", e.what());
       EXPECT_EQ("optimize", e.site_chain());
     }
-    // The first checkpoint precedes the first commit on both engines.
+    // The first checkpoint precedes the first commit on both routes.
     EXPECT_EQ(config_keys(circuit.netlist), before);
   }
 }
@@ -271,9 +274,9 @@ TEST(Cancellation, LiveTokenThatNeverFiresIsByteIdenticalToInert) {
 TEST(Cancellation, MidRunDeadlineIsAllOrNothingPerCircuit) {
   // A short-but-nonzero deadline over a batch with real work: whatever
   // subset finishes, every circuit must be either fully reported or
-  // cancelled with nothing — never in between. The reference engine
-  // commits gate by gate, so a cancelled circuit here exercises the
-  // snapshot-restore path for real.
+  // cancelled with nothing — never in between. The budgeted walk polls
+  // per gate through its whole table setup, so the deadline lands
+  // mid-circuit.
   const std::vector<std::string> names{"b1", "alu2", "alu4", "apex7"};
   std::vector<BatchCircuit> batch = make_batch(names);
   std::vector<std::vector<std::string>> before;
@@ -283,7 +286,7 @@ TEST(Cancellation, MidRunDeadlineIsAllOrNothingPerCircuit) {
 
   BatchOptions options;
   options.jobs = 1;
-  options.opt.engine = Engine::reference;
+  options.opt.max_circuit_delay_increase = 0.05;
   options.cancel = CancellationToken::with_deadline_ms(30.0);
   const BatchReport report = BatchOptimizer(lib(), Tech{}, options).run(batch);
 

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,14 +129,27 @@ TEST_F(CheckpointTest, ResumeRequiresAManifest) {
 }
 
 TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
-  CheckpointJournal fresh(dir_, false, render_manifest(kSpecs, 'A', 1, {}));
-  try {
-    CheckpointJournal other(dir_, true, render_manifest(kSpecs, 'A', 2, {}));
-    FAIL() << "expected tr::Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
-    EXPECT_NE(std::string(e.what()).find("manifest mismatch"),
-              std::string::npos);
+  const std::string manifest = render_manifest(kSpecs, 'A', 1, {});
+  // A journal written under another seed, and one naming the retired
+  // "reference" engine: neither is this run's fingerprint.
+  std::string retired_engine = manifest;
+  const std::string engine_field = "\"engine\": \"catalog\"";
+  const std::size_t at = retired_engine.find(engine_field);
+  ASSERT_NE(at, std::string::npos);
+  retired_engine.replace(at, engine_field.size(),
+                         "\"engine\": \"reference\"");
+  for (const std::string& stale :
+       {render_manifest(kSpecs, 'A', 2, {}), retired_engine}) {
+    fs::remove_all(dir_);
+    CheckpointJournal fresh(dir_, false, stale);
+    try {
+      CheckpointJournal other(dir_, true, manifest);
+      FAIL() << "expected tr::Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+      EXPECT_NE(std::string(e.what()).find("manifest mismatch"),
+                std::string::npos);
+    }
   }
 }
 
@@ -172,39 +186,46 @@ std::string run_journaled(const celllib::CellLibrary& library,
 }
 
 TEST_F(CheckpointTest, ResumedRunRendersByteIdenticalOutput) {
-  const celllib::CellLibrary library = celllib::CellLibrary::standard();
-  BatchOptions options;
-  options.jobs = 1;
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, options);
+  for (const std::optional<double> budget :
+       {std::optional<double>(), std::optional<double>(0.05)}) {
+    SCOPED_TRACE(budget ? "budgeted" : "unbudgeted");
+    fs::remove_all(dir_);
+    const celllib::CellLibrary library = celllib::CellLibrary::standard();
+    BatchOptions options;
+    options.jobs = 1;
+    options.opt.max_circuit_delay_increase = budget;
+    const std::string manifest = render_manifest(kSpecs, 'A', 1, options);
 
-  std::vector<BatchCircuit> original = load_batch(library);
-  CheckpointJournal journal(dir_, false, manifest);
-  const std::string uninterrupted =
-      run_journaled(library, original, options, journal);
-  EXPECT_TRUE(journal.warnings().empty());
+    std::vector<BatchCircuit> original = load_batch(library);
+    CheckpointJournal journal(dir_, false, manifest);
+    const std::string uninterrupted =
+        run_journaled(library, original, options, journal);
+    EXPECT_TRUE(journal.warnings().empty());
 
-  // Resume into a *fresh* process state: newly loaded netlists, a
-  // different jobs value — the journaled results must carry everything.
-  BatchOptions resumed_options;
-  resumed_options.jobs = 3;
-  std::vector<BatchCircuit> resumed = load_batch(library);
-  CheckpointJournal resume(dir_, true, manifest);
-  EXPECT_EQ(resume.load(resumed), static_cast<int>(kSpecs.size()));
-  for (const BatchCircuit& circuit : resumed) {
-    EXPECT_TRUE(circuit.resumed.has_value()) << circuit.name;
+    // Resume into a *fresh* process state: newly loaded netlists, a
+    // different jobs value — the journaled results must carry everything.
+    BatchOptions resumed_options;
+    resumed_options.jobs = 3;
+    resumed_options.opt.max_circuit_delay_increase = budget;
+    std::vector<BatchCircuit> resumed = load_batch(library);
+    CheckpointJournal resume(dir_, true, manifest);
+    EXPECT_EQ(resume.load(resumed), static_cast<int>(kSpecs.size()));
+    for (const BatchCircuit& circuit : resumed) {
+      EXPECT_TRUE(circuit.resumed.has_value()) << circuit.name;
+    }
+
+    const celllib::Tech tech;
+    const BatchOptimizer optimizer(library, tech, resumed_options);
+    const BatchReport report = optimizer.run(resumed);
+    std::ostringstream out;
+    BatchJsonOptions json;
+    json.include_timing = false;
+    json.include_cache_stats = false;
+    // Render under the *original* options (the manifest guarantees they
+    // match up to jobs, which the report header does not carry).
+    write_batch_json(resumed, report, resumed_options, out, json);
+    EXPECT_EQ(out.str(), uninterrupted);
   }
-
-  const celllib::Tech tech;
-  const BatchOptimizer optimizer(library, tech, resumed_options);
-  const BatchReport report = optimizer.run(resumed);
-  std::ostringstream out;
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_cache_stats = false;
-  // Render under the *original* options (the manifest guarantees they
-  // match up to jobs, which the report header does not carry).
-  write_batch_json(resumed, report, resumed_options, out, json);
-  EXPECT_EQ(out.str(), uninterrupted);
 }
 
 TEST_F(CheckpointTest, AnnealResultsResumeByteIdentical) {

@@ -277,6 +277,37 @@ TEST(FaultContainment, PoisonedNetlistIsRestored) {
   }
 }
 
+TEST(FaultContainment, FailureAfterCommitRestoresTheNetlist) {
+  // The progress hook runs after optimize() has committed the chosen
+  // configurations, so a throw there must move the snapshot back.
+  std::vector<BatchCircuit> clean = make_batch({"b1", "decod"});
+  const BatchReport clean_report =
+      BatchOptimizer(lib(), Tech{}, batch_options(1)).run(clean);
+  ASSERT_EQ(clean_report.circuits[1].status, CircuitStatus::ok);
+  ASSERT_GT(clean_report.circuits[1].report.gates_changed, 0);
+
+  std::vector<BatchCircuit> batch = make_batch({"b1", "decod"});
+  std::vector<std::string> before;
+  for (netlist::GateId g = 0; g < batch[1].netlist.gate_count(); ++g) {
+    before.push_back(batch[1].netlist.gate(g).config.canonical_key());
+  }
+  BatchOptions options = batch_options(1);
+  options.progress = [](std::size_t i, const BatchCircuitResult& result) {
+    if (i == 1 && result.status == CircuitStatus::ok) {
+      throw std::runtime_error("progress sink failed");
+    }
+  };
+  const BatchReport report = BatchOptimizer(lib(), Tech{}, options).run(batch);
+  EXPECT_EQ(report.circuits[0].status, CircuitStatus::ok);
+  EXPECT_EQ(report.circuits[1].status, CircuitStatus::error);
+  ASSERT_EQ(batch[1].netlist.gate_count(),
+            static_cast<netlist::GateId>(before.size()));
+  for (netlist::GateId g = 0; g < batch[1].netlist.gate_count(); ++g) {
+    EXPECT_EQ(batch[1].netlist.gate(g).config.canonical_key(), before[g])
+        << "gate " << g;
+  }
+}
+
 TEST(FaultContainment, ForeignExceptionsFoldIntoTheTaxonomy) {
   struct Case {
     fault::FaultKind kind;

@@ -1,7 +1,8 @@
 // Golden-file regression for the tr_opt JSON output (ISSUE 4): the
 // deterministic report for the four embedded classic circuits must stay
 // byte-identical to the checked-in fixture, across runs and across
-// worker counts at both parallelism levels.
+// worker counts at both parallelism levels — unbudgeted, poisoned, and
+// under a delay budget that does and one that does not bind.
 //
 // The test drives the exact library path the CLI uses (load classics ->
 // map -> make_scenario_circuit -> BatchOptimizer -> write_batch_json
@@ -15,6 +16,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "benchgen/classic.hpp"
@@ -47,33 +49,10 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// The tr_opt --suite classic --seed 1 --no-timing pipeline.
-std::string classic_batch_json(int jobs, int threads_per_circuit,
-                               BatchJsonOptions json) {
-  const CellLibrary library = CellLibrary::standard();
-  const Tech tech;
-  std::vector<BatchCircuit> batch;
-  for (const std::string& name : benchgen::classic_names()) {
-    const auto logic =
-        netlist::read_blif_logic_string(benchgen::classic_blif(name), name);
-    batch.push_back(make_scenario_circuit(
-        mapper::map_network(logic, library), 'A', /*master_seed=*/1));
-  }
-  BatchOptions options;
-  options.jobs = jobs;
-  options.threads_per_circuit = threads_per_circuit;
-  const BatchReport report =
-      BatchOptimizer(library, tech, options).run(batch);
-  std::ostringstream out;
-  json.include_timing = false;  // goldens are wall-clock-free by contract
-  write_batch_json(batch, report, options, out, json);
-  return out.str();
-}
-
-TEST(GoldenTrOpt, ClassicSuiteMatchesGolden) {
-  const std::string current = classic_batch_json(1, 1, {});
-  const std::string path = golden_path("tr_opt_classic.json");
-
+/// Compares `current` with tests/golden/<file>, or rewrites the fixture
+/// (and skips) under TR_UPDATE_GOLDEN.
+void expect_golden(const std::string& file, const std::string& current) {
+  const std::string path = golden_path(file);
   if (std::getenv("TR_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write golden " << path;
@@ -86,8 +65,63 @@ TEST(GoldenTrOpt, ClassicSuiteMatchesGolden) {
       << "missing golden " << path
       << " — run with TR_UPDATE_GOLDEN=1 to create it";
   EXPECT_EQ(golden, current)
-      << "tr_opt JSON drifted from the golden; if intentional, regenerate "
-         "with TR_UPDATE_GOLDEN=1 and commit the diff";
+      << file << " drifted from the golden; if intentional, regenerate "
+      << "with TR_UPDATE_GOLDEN=1 and commit the diff";
+}
+
+/// The tr_opt --suite classic --seed 1 --no-timing [--delay-budget F]
+/// pipeline.
+std::string classic_batch_json(int jobs, int threads_per_circuit,
+                               BatchJsonOptions json,
+                               std::optional<double> delay_budget = {}) {
+  const CellLibrary library = CellLibrary::standard();
+  const Tech tech;
+  std::vector<BatchCircuit> batch;
+  for (const std::string& name : benchgen::classic_names()) {
+    const auto logic =
+        netlist::read_blif_logic_string(benchgen::classic_blif(name), name);
+    batch.push_back(make_scenario_circuit(
+        mapper::map_network(logic, library), 'A', /*master_seed=*/1));
+  }
+  BatchOptions options;
+  options.jobs = jobs;
+  options.threads_per_circuit = threads_per_circuit;
+  options.opt.max_circuit_delay_increase = delay_budget;
+  const BatchReport report =
+      BatchOptimizer(library, tech, options).run(batch);
+  std::ostringstream out;
+  json.include_timing = false;  // goldens are wall-clock-free by contract
+  write_batch_json(batch, report, options, out, json);
+  return out.str();
+}
+
+TEST(GoldenTrOpt, ClassicSuiteMatchesGolden) {
+  expect_golden("tr_opt_classic.json", classic_batch_json(1, 1, {}));
+}
+
+/// tr_opt --suite classic --delay-budget F --no-timing --no-cache-stats,
+/// which must not depend on the circuit- or gate-level worker counts.
+std::string budgeted_batch_json(double delay_budget) {
+  BatchJsonOptions lean;
+  lean.include_cache_stats = false;
+  const std::string serial = classic_batch_json(1, 1, lean, delay_budget);
+  EXPECT_EQ(serial, classic_batch_json(4, 1, lean, delay_budget));
+  EXPECT_EQ(serial, classic_batch_json(2, 2, lean, delay_budget));
+  return serial;
+}
+
+TEST(GoldenTrOpt, BudgetedSuiteMatchesGoldenAcrossWorkerCounts) {
+  // At 5% the budget never binds on the classic suite (no configuration
+  // is rejected, every decision equals the unbudgeted one), so this pins
+  // the report shape of a budgeted run: "delay_budget", the requested
+  // "engine", the sequential "threads": 1 and the critical paths.
+  expect_golden("tr_opt_budgeted.json", budgeted_batch_json(0.05));
+}
+
+TEST(GoldenTrOpt, ZeroSlackSuiteMatchesGoldenAcrossWorkerCounts) {
+  // A zero-slack budget binds on every classic circuit: this pins the
+  // budgeted walk's decisions and its configs_rejected_by_delay counts.
+  expect_golden("tr_opt_zero_slack.json", budgeted_batch_json(0.0));
 }
 
 TEST(GoldenTrOpt, ByteStableAcrossWorkerCounts) {
@@ -145,23 +179,7 @@ std::string poisoned_batch_json(int jobs) {
 }
 
 TEST(GoldenTrOpt, PoisonedBatchMatchesGolden) {
-  const std::string current = poisoned_batch_json(1);
-  const std::string path = golden_path("tr_opt_poisoned.json");
-
-  if (std::getenv("TR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write golden " << path;
-    out << current;
-    GTEST_SKIP() << "golden regenerated at " << path;
-  }
-
-  const std::string golden = read_file(path);
-  ASSERT_FALSE(golden.empty())
-      << "missing golden " << path
-      << " — run with TR_UPDATE_GOLDEN=1 to create it";
-  EXPECT_EQ(golden, current)
-      << "poisoned-batch JSON drifted from the golden; if intentional, "
-         "regenerate with TR_UPDATE_GOLDEN=1 and commit the diff";
+  expect_golden("tr_opt_poisoned.json", poisoned_batch_json(1));
 }
 
 TEST(GoldenTrOpt, PoisonedBatchByteStableAcrossWorkerCounts) {

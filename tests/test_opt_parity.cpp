@@ -1,19 +1,25 @@
-// Randomised parity suite: the catalog/gate-parallel fast path must
-// return bit-identical OptimizeReport power numbers and choose the same
-// configurations as the retained reference scorer (per-candidate graph
-// rebuild + path DFS), across random SP trees, both input scenarios,
-// every ModelKind, and both objectives. "Bit-identical" is literal:
-// doubles are compared with ==, not tolerances — both engines funnel
-// through power::evaluate_node_tables on identical tables and weights,
-// so any divergence is a bug, not rounding.
+// Randomised parity suite: optimize() — the gate-parallel catalog pass
+// and, under a delay budget, the table-driven greedy walk — must return
+// bit-identical OptimizeReport power numbers and choose the same
+// configurations as the test oracle's reference engine (per-candidate
+// graph rebuild + path DFS, tests/oracle/), across random SP trees, both
+// input scenarios, every ModelKind, both objectives and delay budgets.
+// "Bit-identical" is literal: doubles are compared with ==, not
+// tolerances — both sides funnel through power::evaluate_node_tables on
+// identical tables and weights, so any divergence is a bug, not
+// rounding.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
 
 #include "benchgen/generators.hpp"
 #include "benchgen/suite.hpp"
 #include "celllib/library.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
+#include "oracle/reference_oracle.hpp"
 #include "random_sp_tree.hpp"
 #include "util/rng.hpp"
 
@@ -33,8 +39,8 @@ CellLibrary& lib() {
   return instance;
 }
 
-/// Runs both engines on copies of `original` and asserts the reports and
-/// resulting netlists are identical.
+/// Runs optimize() and the oracle on copies of `original` and asserts
+/// the reports and resulting netlists are identical.
 void expect_engine_parity(const Netlist& original,
                           const std::map<NetId, SignalStats>& stats,
                           OptimizeOptions options) {
@@ -45,9 +51,8 @@ void expect_engine_parity(const Netlist& original,
   options.engine = Engine::catalog;
   options.threads = 3;  // exercise the pool even on small machines
   const OptimizeReport fast = optimize(fast_netlist, stats, tech, options);
-  options.engine = Engine::reference;
   const OptimizeReport reference =
-      optimize(reference_netlist, stats, tech, options);
+      oracle::optimize_reference(reference_netlist, stats, tech, options);
 
   EXPECT_EQ(fast.model_power_before, reference.model_power_before);
   EXPECT_EQ(fast.model_power_after, reference.model_power_after);
@@ -75,24 +80,28 @@ void expect_engine_parity(const Netlist& original,
   }
 }
 
-/// The full option matrix of the parity contract (delay budgeting is
-/// excluded by design: it always runs on the reference engine).
+/// The full option matrix of the parity contract.
 void expect_parity_across_options(const Netlist& original,
                                   const std::map<NetId, SignalStats>& stats) {
+  const std::optional<double> budgets[] = {std::nullopt, 0.0, 0.08};
   for (power::ModelKind model :
        {power::ModelKind::extended, power::ModelKind::output_only}) {
     for (Objective objective :
          {Objective::minimize_power, Objective::maximize_power}) {
       for (bool restrict_instance : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "model=" << static_cast<int>(model)
-                     << " objective=" << static_cast<int>(objective)
-                     << " restrict=" << restrict_instance);
-        OptimizeOptions options;
-        options.model = model;
-        options.objective = objective;
-        options.restrict_to_instance = restrict_instance;
-        expect_engine_parity(original, stats, options);
+        for (const std::optional<double>& budget : budgets) {
+          SCOPED_TRACE(testing::Message()
+                       << "model=" << static_cast<int>(model)
+                       << " objective=" << static_cast<int>(objective)
+                       << " restrict=" << restrict_instance << " budget="
+                       << (budget ? std::to_string(*budget) : "none"));
+          OptimizeOptions options;
+          options.model = model;
+          options.objective = objective;
+          options.restrict_to_instance = restrict_instance;
+          options.max_circuit_delay_increase = budget;
+          expect_engine_parity(original, stats, options);
+        }
       }
     }
   }
@@ -151,8 +160,8 @@ TEST(OptParity, RandomSpTreeGates) {
     for (power::ModelKind model :
          {power::ModelKind::extended, power::ModelKind::output_only}) {
       const auto fast = score_configurations(gate, inputs, load, tech, model);
-      const auto reference =
-          score_configurations_reference(gate, inputs, load, tech, model);
+      const auto reference = oracle::score_configurations_reference(
+          gate, inputs, load, tech, model);
       ASSERT_EQ(fast.size(), reference.size());
       for (std::size_t i = 0; i < fast.size(); ++i) {
         EXPECT_EQ(fast[i].first.canonical_key(),
@@ -187,18 +196,20 @@ TEST(OptParity, ScratchReuseDoesNotChangeResults) {
 
 TEST(OptParity, DelayBudgetRoutesToReferenceEngine) {
   // Arrival budgeting is sequential by nature; requesting it with the
-  // catalog engine must still produce the reference result.
+  // (gate-parallel) catalog engine must still produce the oracle's
+  // sequential result.
   const Netlist original = benchgen::ripple_carry_adder(lib(), 4);
   const auto stats = scenario_b(original, 1e6);
   const Tech tech;
   OptimizeOptions budgeted;
   budgeted.max_circuit_delay_increase = 0.0;
-  budgeted.engine = Engine::catalog;  // must be overridden internally
+  budgeted.engine = Engine::catalog;
+  budgeted.threads = 2;
   Netlist a = original;
   const OptimizeReport ra = optimize(a, stats, tech, budgeted);
-  budgeted.engine = Engine::reference;
   Netlist b = original;
-  const OptimizeReport rb = optimize(b, stats, tech, budgeted);
+  const OptimizeReport rb =
+      oracle::optimize_reference(b, stats, tech, budgeted);
   EXPECT_EQ(ra.model_power_after, rb.model_power_after);
   EXPECT_EQ(ra.gates_changed, rb.gates_changed);
   EXPECT_EQ(ra.configs_rejected_by_delay, rb.configs_rejected_by_delay);

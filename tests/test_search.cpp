@@ -7,15 +7,15 @@
 //    from-scratch topological recompute and delay::circuit_delay on a
 //    materialised netlist, across random SP netlists, both power
 //    models and both objectives;
-//  * greedy-seed parity — the table-driven greedy replica is
-//    bit-identical to optimize() with the reference/catalog engines,
-//    budgets or not;
+//  * greedy-seed parity — the table-driven greedy walk is bit-identical
+//    to the test oracle's reference engine (tests/oracle/), budgets or
+//    not;
 //  * the annealing engine — dominates greedy at equal delay budgets,
 //    honours the ceilings, is deterministic per seed (byte-identical
 //    batch JSON, jobs=1 vs jobs=4), and cancels all-or-nothing;
 //  * the delay-budget option sweep — std::optional semantics (unset vs
-//    a legitimate 0.0), validation, and the engine/threads recording
-//    that replaced the batch-report inference bug.
+//    a legitimate 0.0), validation, the threads recording, and the one
+//    engine-name mapping.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +36,7 @@
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
 #include "opt/search.hpp"
+#include "oracle/reference_oracle.hpp"
 #include "random_sp_tree.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
@@ -231,10 +232,10 @@ GreedySeed table_greedy(const Netlist& nl,
 }
 
 TEST(GreedySeed, BitIdenticalToEngineDecisionsAcrossOptionSweep) {
-  // The annealing seed replays the engines' greedy pass from the
-  // precomputed tables; any divergence would void the "never loses to
-  // greedy" guarantee, so the replica is pinned bit-exactly: same chosen
-  // configuration per gate, same rejection counters, same power totals.
+  // The greedy walk runs off the precomputed tables; it is pinned
+  // bit-exactly against the oracle's per-candidate graph-rebuild engine:
+  // same chosen configuration per gate, same rejection counters, same
+  // power totals.
   const Tech tech;
   Rng rng(83);
   std::vector<Netlist> circuits;
@@ -259,7 +260,7 @@ TEST(GreedySeed, BitIdenticalToEngineDecisionsAcrossOptionSweep) {
 
             Netlist engine_nl = original;
             const OptimizeReport report =
-                optimize(engine_nl, stats, tech, options);
+                oracle::optimize_reference(engine_nl, stats, tech, options);
 
             std::vector<std::string> seed_keys;
             const GreedySeed seed =
@@ -412,9 +413,9 @@ TEST(AnnealEngine, CancellationLeavesNetlistUntouched) {
 }
 
 TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
-  // The satellite regression: unset must run the parallel catalog engine
-  // with no rejections; 0.0 is a legitimate zero-slack budget (reference
-  // fallback); invalid values throw instead of silently toggling.
+  // Unset must run the parallel catalog pass with no rejections; 0.0 is
+  // a legitimate zero-slack budget (the sequential greedy walk); invalid
+  // values throw instead of silently toggling.
   const Tech tech;
   const auto run = [&](OptimizeOptions options) {
     Netlist nl = benchgen::ripple_carry_adder(lib(), 6);
@@ -424,13 +425,11 @@ TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
   OptimizeOptions unset;
   EXPECT_FALSE(unset.max_circuit_delay_increase.has_value());
   const OptimizeReport unconstrained = run(unset);
-  EXPECT_EQ(unconstrained.engine_used, Engine::catalog);
   EXPECT_EQ(unconstrained.configs_rejected_by_delay, 0);
 
   OptimizeOptions zero;
   zero.max_circuit_delay_increase = 0.0;
   const OptimizeReport constrained = run(zero);
-  EXPECT_EQ(constrained.engine_used, Engine::reference);
   EXPECT_EQ(constrained.threads_used, 1);
   // A zero-slack budget constrains for real on this circuit.
   EXPECT_GE(constrained.model_power_after, unconstrained.model_power_after);
@@ -453,32 +452,42 @@ TEST(EngineRecording, ReportsTheEngineAndThreadsActuallyUsed) {
   catalog2.threads = 2;
   Netlist a = original;
   const OptimizeReport rc = optimize(a, stats, tech, catalog2);
-  EXPECT_EQ(rc.engine_used, Engine::catalog);
   EXPECT_EQ(rc.threads_used, 2);
   EXPECT_FALSE(rc.anneal.has_value());
 
-  // The routing bug the satellite fixed: a delay-budgeted catalog
-  // request is downgraded to the sequential reference engine, and the
-  // report now records that instead of consumers re-inferring it.
-  OptimizeOptions downgraded = catalog2;
-  downgraded.max_circuit_delay_increase = 0.0;
+  // A delay-budgeted catalog request walks the gates sequentially
+  // whatever thread count was asked for, and the report says so.
+  OptimizeOptions budgeted = catalog2;
+  budgeted.max_circuit_delay_increase = 0.0;
   Netlist b = original;
-  const OptimizeReport rr = optimize(b, stats, tech, downgraded);
-  EXPECT_EQ(rr.engine_used, Engine::reference);
-  EXPECT_EQ(rr.threads_used, 1);
+  const OptimizeReport rb = optimize(b, stats, tech, budgeted);
+  EXPECT_EQ(rb.threads_used, 1);
+  EXPECT_FALSE(rb.anneal.has_value());
 
   OptimizeOptions anneal;
   anneal.engine = Engine::anneal;
   anneal.threads = 4;  // ignored: the search itself is serial
   Netlist c = original;
   const OptimizeReport ra = optimize(c, stats, tech, anneal);
-  EXPECT_EQ(ra.engine_used, Engine::anneal);
   EXPECT_EQ(ra.threads_used, 1);
   EXPECT_TRUE(ra.anneal.has_value());
 
+  for (const Engine engine : {Engine::catalog, Engine::anneal}) {
+    EXPECT_EQ(engine_from_name(engine_name(engine)), engine);
+  }
   EXPECT_STREQ(engine_name(Engine::catalog), "catalog");
-  EXPECT_STREQ(engine_name(Engine::reference), "reference");
   EXPECT_STREQ(engine_name(Engine::anneal), "anneal");
+  for (const char* unknown : {"reference", "Catalog", ""}) {
+    try {
+      engine_from_name(unknown);
+      FAIL() << "expected rejection of engine '" << unknown << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+      EXPECT_EQ(std::string(e.what()), "unknown engine '" +
+                                           std::string(unknown) +
+                                           "' (expected catalog|anneal)");
+    }
+  }
 }
 
 }  // namespace

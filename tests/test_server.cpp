@@ -269,6 +269,9 @@ TEST(ServerCorpus, StrictRequestValidation) {
   expect_invalid(R"({"circuits": ["c17"], "delay_budget": -0.5})",
                  "request: delay_budget must be a non-negative number or "
                  "null");
+  expect_invalid(R"({"circuits": ["c17"], "engine": "reference"})",
+                 "request: unknown engine 'reference' (expected "
+                 "catalog|anneal)");
 
   expect_serves_cleanly(daemon.port());
 }

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "gategraph/sp_tree.hpp"
+#include "oracle/reference_oracle.hpp"
 #include "util/error.hpp"
 
 namespace tr::gategraph {
@@ -124,7 +125,7 @@ TEST(SpTree, BruteEnumerationIsDistinctAndComplete) {
       S({P({T(0), T(1)}), T(2), T(3)}),
   };
   for (const SpNode& shape : shapes) {
-    const auto all = enumerate_orderings_brute(shape);
+    const auto all = oracle::enumerate_orderings_brute(shape);
     EXPECT_EQ(all.size(), ordering_count(shape));
     std::set<std::string> keys;
     for (const SpNode& config : all) {

@@ -39,10 +39,9 @@
 //   --delay-budget F     admit only configurations keeping the critical
 //                        path within (1+F)x the original; F >= 0
 //                        (default off; 0 = zero-slack budget)
-//   --engine catalog|reference|anneal  scoring engine (default catalog;
-//                        a budgeted catalog run downgrades to the
-//                        sequential reference engine with a warning —
-//                        use anneal for a global search instead)
+//   --engine catalog|anneal  scoring engine (default catalog: the
+//                        paper's greedy pass, sequential under a delay
+//                        budget; anneal: a global search seeded from it)
 //   --anneal-seed N      move-stream seed of --engine anneal (default 1)
 //   --anneal-iters N     annealing moves per gate (default 256)
 //   --restrict-instance  only same-layout-instance reorderings
@@ -152,7 +151,7 @@ int usage(const char* error) {
          "              [--threads-per-circuit N]\n"
          "              [--objective minimize|maximize]\n"
          "              [--model extended|output_only] [--delay-budget F]\n"
-         "              [--engine catalog|reference|anneal]\n"
+         "              [--engine catalog|anneal]\n"
          "              [--anneal-seed N] [--anneal-iters N]\n"
          "              [--restrict-instance] [--keep-going | --fail-fast]\n"
          "              [--deadline-ms F] [--out DIR] [--no-timing]\n"
@@ -261,19 +260,6 @@ int run_batch(Options& o) {
 
     const celllib::CellLibrary library = celllib::CellLibrary::standard();
     const celllib::Tech tech;
-
-    // While the legacy fallback exists, a delay-budgeted catalog run is
-    // silently sequential (reference engine, one thread per circuit) —
-    // say so instead of leaving the downgrade discoverable only through
-    // the per-circuit "engine"/"threads" report fields.
-    if (o.batch.opt.max_circuit_delay_increase &&
-        o.batch.opt.engine == opt::Engine::catalog) {
-      std::cerr << "tr_opt: warning: --delay-budget downgrades the catalog "
-                   "engine to the sequential reference engine "
-                   "(--threads-per-circuit has no effect); "
-                   "use --engine anneal for a parallel-quality global "
-                   "search\n";
-    }
 
     std::vector<opt::BatchCircuit> batch;
     batch.reserve(o.circuit_specs.size());
@@ -669,15 +655,10 @@ int main(int argc, char** argv) {
       }
       o.batch.opt.max_circuit_delay_increase = budget;
     } else if (arg == "--engine") {
-      const std::string engine = next("--engine");
-      if (engine == "catalog") {
-        o.batch.opt.engine = opt::Engine::catalog;
-      } else if (engine == "reference") {
-        o.batch.opt.engine = opt::Engine::reference;
-      } else if (engine == "anneal") {
-        o.batch.opt.engine = opt::Engine::anneal;
-      } else {
-        return usage("engine must be catalog, reference or anneal");
+      try {
+        o.batch.opt.engine = opt::engine_from_name(next("--engine"));
+      } catch (const Error& e) {
+        return usage(e.what());
       }
     } else if (arg == "--anneal-seed") {
       o.batch.opt.anneal.seed =
