@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
         netlist::Netlist nl = benchgen::build_benchmark(batch_lib, spec);
         auto stats = opt::scenario_a(nl, spec.seed);
         batch.push_back(
-            opt::BatchCircuit{spec.name, std::move(nl), std::move(stats), {}});
+            opt::BatchCircuit{spec.name, std::move(nl), std::move(stats), {}, {}});
       }
       opt::BatchOptions options;
       options.jobs = jobs;

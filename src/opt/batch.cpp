@@ -209,7 +209,7 @@ BatchCircuit make_scenario_circuit(netlist::Netlist netlist, char scenario,
                                    std::uint64_t master_seed) {
   require(scenario == 'A' || scenario == 'B',
           "make_scenario_circuit: scenario must be 'A' or 'B'");
-  BatchCircuit circuit{netlist.name(), std::move(netlist), {}, {}};
+  BatchCircuit circuit{netlist.name(), std::move(netlist), {}, {}, {}};
   circuit.pi_stats =
       scenario == 'A'
           ? scenario_a(circuit.netlist,
@@ -229,7 +229,8 @@ BatchCircuit make_scenario_circuit_guarded(
       return make_scenario_circuit(loader(), scenario, master_seed);
     });
   } catch (...) {
-    BatchCircuit placeholder{name, netlist::Netlist(library, name), {}, {}};
+    BatchCircuit placeholder{name, netlist::Netlist(library, name), {}, {},
+                                 {}};
     placeholder.load_error = describe_current_exception();
     return placeholder;
   }

@@ -1,6 +1,7 @@
 #include "opt/batch_report.hpp"
 
 #include <ostream>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -11,15 +12,6 @@ namespace tr::opt {
 namespace {
 
 using util::JsonWriter;
-
-const char* objective_name(Objective objective) {
-  return objective == Objective::minimize_power ? "minimize_power"
-                                                : "maximize_power";
-}
-
-const char* model_name(power::ModelKind model) {
-  return model == power::ModelKind::extended ? "extended" : "output_only";
-}
 
 void write_error_object(JsonWriter& w, const CircuitError& error) {
   w.begin_object();
@@ -170,7 +162,7 @@ void write_batch_json(const std::vector<BatchCircuit>& batch,
   w.key("generator");
   w.value("tr_opt");
   w.key("objective");
-  w.value(objective_name(options.opt.objective));
+  w.value(std::string(objective_name(options.opt.objective)) + "_power");
   w.key("model");
   w.value(model_name(options.opt.model));
   w.key("engine_requested");

@@ -7,6 +7,7 @@
 #include "gategraph/sp_parse.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace tr::opt::checkpoint {
 
@@ -19,26 +20,6 @@ namespace {
 constexpr std::int64_t kEntryVersion = 1;
 
 constexpr const char* kManifestName = "manifest.jnl";
-
-std::string sanitize(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                      c == '.';
-    out += safe ? c : '_';
-  }
-  return out.empty() ? "circuit" : out;
-}
-
-const char* objective_name(Objective objective) {
-  return objective == Objective::minimize_power ? "minimize_power"
-                                                : "maximize_power";
-}
-
-const char* model_name(power::ModelKind model) {
-  return model == power::ModelKind::extended ? "extended" : "output_only";
-}
 
 /// Required-field lookup with a checkpoint-flavoured error.
 const util::JsonValue& field(const util::JsonValue& doc, const char* key) {
@@ -56,12 +37,10 @@ const util::JsonValue& field(const util::JsonValue& doc, const char* key) {
 std::string entry_name(std::size_t index, const std::string& circuit_name) {
   std::string number = std::to_string(index);
   if (number.size() < 4) number.insert(0, 4 - number.size(), '0');
-  return "circuit-" + number + "-" + sanitize(circuit_name) + ".jnl";
+  return "circuit-" + number + "-" + safe_file_name(circuit_name) + ".jnl";
 }
 
-std::string render_manifest(const std::vector<std::string>& circuit_specs,
-                            char scenario, std::uint64_t seed,
-                            const BatchOptions& options) {
+std::string render_manifest(const RunOptions& run) {
   std::ostringstream out;
   util::JsonWriter w(out);
   w.begin_object();
@@ -69,37 +48,7 @@ std::string render_manifest(const std::vector<std::string>& circuit_specs,
   w.value(kEntryVersion);
   w.key("generator");
   w.value("tr_opt_checkpoint");
-  w.key("circuits");
-  w.begin_array();
-  for (const std::string& spec : circuit_specs) w.value(spec);
-  w.end_array();
-  w.key("scenario");
-  w.value(std::string(1, scenario));
-  w.key("seed");
-  w.value(seed);
-  w.key("objective");
-  w.value(objective_name(options.opt.objective));
-  w.key("model");
-  w.value(model_name(options.opt.model));
-  w.key("engine");
-  w.value(engine_name(options.opt.engine));
-  w.key("anneal_seed");
-  w.value(options.opt.anneal.seed);
-  w.key("anneal_iters");
-  w.value(options.opt.anneal.iterations_per_gate);
-  w.key("delay_budget");
-  if (options.opt.max_circuit_delay_increase) {
-    w.value(*options.opt.max_circuit_delay_increase);
-  } else {
-    w.null_value();
-  }
-  w.key("restrict_instance");
-  w.value(options.opt.restrict_to_instance);
-  // threads_per_circuit never changes result numbers, but it IS
-  // rendered (the per-circuit "threads" field), so it shapes bytes.
-  // jobs does not — resuming under a different --jobs is the point.
-  w.key("threads_per_circuit");
-  w.value(options.threads_per_circuit);
+  write_options(w, run, true);
   w.end_object();
   return out.str();
 }

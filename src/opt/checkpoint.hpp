@@ -20,12 +20,10 @@
 // reproduces the identical IEEE-754 value, and the configurations are
 // re-applied to a deterministically reloaded netlist.
 //
-// Compatibility is guarded by a manifest: a fingerprint of everything
-// that shapes the deterministic output (circuit specs, scenario, seed,
-// objective/model/engine/anneal/budget/restriction) written on the
-// fresh run and byte-compared on resume — resuming under different
-// options is an error, never a silently mixed report. jobs/threads and
-// deadlines are deliberately excluded: they never change result bytes.
+// Compatibility is guarded by a manifest of the option table's
+// shapes_output entries (opt/run_options.hpp), written on the fresh run
+// and byte-compared on resume — resuming under different options is an
+// error, never a silently mixed report.
 //
 // Damage tolerance: a torn/truncated/bit-flipped/wrong-checksum entry
 // (the crash window, disk rot) is detected by the journal frame,
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "opt/batch.hpp"
+#include "opt/run_options.hpp"
 
 namespace tr::opt::checkpoint {
 
@@ -52,10 +51,9 @@ struct JournalWarning {
 };
 
 /// The manifest document: the run fingerprint, rendered
-/// deterministically from everything that shapes result bytes.
-std::string render_manifest(const std::vector<std::string>& circuit_specs,
-                            char scenario, std::uint64_t seed,
-                            const BatchOptions& options);
+/// deterministically from the shapes_output entries of the option table
+/// (opt/run_options.hpp).
+std::string render_manifest(const RunOptions& run);
 
 /// The entry file name of batch index `index` ("circuit-0003-alu2.jnl");
 /// the zero-padded index keeps duplicate circuit names collision-free

@@ -15,21 +15,47 @@
 
 namespace tr::opt {
 
+const char* objective_name(Objective objective) noexcept {
+  return objective == Objective::minimize_power ? "minimize" : "maximize";
+}
+
+const char* model_name(power::ModelKind model) noexcept {
+  return model == power::ModelKind::extended ? "extended" : "output_only";
+}
+
 const char* engine_name(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::catalog: return "catalog";
-    case Engine::anneal: return "anneal";
+  return engine == Engine::catalog ? "catalog" : "anneal";
+}
+
+namespace {
+
+/// Whichever of the two values of an enum `spell` names `name`.
+template <class E>
+E from_name(std::string_view name, const char* what, E a, E b,
+            const char* (*spell)(E)) {
+  if (name != spell(a) && name != spell(b)) {
+    throw Error("unknown " + std::string(what) + " '" + std::string(name) +
+                    "' (expected " + spell(a) + "|" + spell(b) + ")",
+                ErrorCode::invalid_argument);
   }
-  return "unknown";
+  return name == spell(a) ? a : b;
+}
+
+}  // namespace
+
+Objective objective_from_name(std::string_view name) {
+  return from_name(name, "objective", Objective::minimize_power,
+                   Objective::maximize_power, objective_name);
+}
+
+power::ModelKind model_from_name(std::string_view name) {
+  return from_name(name, "model", power::ModelKind::extended,
+                   power::ModelKind::output_only, model_name);
 }
 
 Engine engine_from_name(std::string_view name) {
-  for (const Engine engine : {Engine::catalog, Engine::anneal}) {
-    if (name == engine_name(engine)) return engine;
-  }
-  throw Error("unknown engine '" + std::string(name) +
-                  "' (expected catalog|anneal)",
-              ErrorCode::invalid_argument);
+  return from_name(name, "engine", Engine::catalog, Engine::anneal,
+                   engine_name);
 }
 
 using boolfn::SignalStats;

@@ -57,12 +57,18 @@ enum class Engine {
   anneal,
 };
 
-/// Stable lowercase engine names — the JSON/report encoding of Engine.
+/// Stable lowercase enum spellings: the values of the `objective`,
+/// `model` and `engine` options (opt/run_options.hpp) and of the report
+/// header (which appends "_power" to the objective).
+const char* objective_name(Objective objective) noexcept;
+const char* model_name(power::ModelKind model) noexcept;
 const char* engine_name(Engine engine) noexcept;
 
-/// Inverse of engine_name — the one parser behind the CLI flag, the
-/// request field and the checkpoint manifest. Throws tr::Error
-/// (invalid_argument) naming the accepted values for anything else.
+/// Inverses of the *_name spellings — the one parser of each option
+/// value. Throw tr::Error (invalid_argument) naming the accepted values
+/// for anything else.
+Objective objective_from_name(std::string_view name);
+power::ModelKind model_from_name(std::string_view name);
 Engine engine_from_name(std::string_view name);
 
 /// Knobs of the annealing engine (used when engine == Engine::anneal).

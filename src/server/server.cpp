@@ -12,7 +12,6 @@
 #include <ostream>
 #include <thread>
 
-#include "server/request.hpp"
 #include "util/error.hpp"
 
 namespace tr::server {

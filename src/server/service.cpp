@@ -23,6 +23,41 @@ opt::CircuitError make_error(ErrorCode code, std::string site,
 
 }  // namespace
 
+std::string render_progress(std::size_t index,
+                            const opt::BatchCircuitResult& result) {
+  std::ostringstream out;
+  util::JsonWriter w(out);
+  w.begin_object();
+  w.key("type");
+  w.value("progress");
+  w.key("index");
+  w.value(static_cast<std::int64_t>(index));
+  w.key("circuit");
+  w.value(result.name);
+  w.key("status");
+  w.value(opt::circuit_status_name(result.status));
+  w.end_object();
+  return out.str();
+}
+
+std::string render_error(const opt::CircuitError& error) {
+  std::ostringstream out;
+  util::JsonWriter w(out);
+  w.begin_object();
+  w.key("type");
+  w.value("error");
+  w.key("code");
+  w.value(error_code_name(error.code));
+  w.key("retryable");
+  w.value(is_retryable(error.code));
+  w.key("site");
+  w.value(error.site);
+  w.key("message");
+  w.value(error.message);
+  w.end_object();
+  return out.str();
+}
+
 OptimizeService::OptimizeService(ServiceConfig config)
     : config_(config), library_(celllib::CellLibrary::standard()) {
   if (config_.workers < 1) config_.workers = 1;
@@ -45,13 +80,13 @@ OptimizeService::~OptimizeService() {
 
 util::CancellationToken OptimizeService::submit(
     const std::string& request_json, const std::shared_ptr<Sink>& sink) {
-  OptimizeRequest request;
+  opt::RunOptions request;
   try {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.received;
     }
-    request = parse_request(request_json);
+    request = opt::parse_request(request_json);
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);

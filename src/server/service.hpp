@@ -19,6 +19,7 @@
 // against serial tr_opt output.
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -30,10 +31,20 @@
 
 #include "celllib/library.hpp"
 #include "celllib/tech.hpp"
-#include "server/request.hpp"
+#include "opt/batch.hpp"
+#include "opt/run_options.hpp"
 #include "util/cancel.hpp"
 
 namespace tr::server {
+
+/// Renders one progress frame payload:
+///   {"type":"progress","index":I,"circuit":NAME,"status":STATUS}
+std::string render_progress(std::size_t index,
+                            const opt::BatchCircuitResult& result);
+
+/// Renders one error frame payload:
+///   {"type":"error","code":CODE,"site":SITE,"message":MESSAGE}
+std::string render_error(const opt::CircuitError& error);
 
 /// Streaming result consumer for one request. Methods are called from
 /// executor threads; implementations must be thread-safe with respect
@@ -118,7 +129,7 @@ public:
 
 private:
   struct Job {
-    OptimizeRequest request;
+    opt::RunOptions request;
     std::shared_ptr<Sink> sink;
     util::CancellationToken cancel;
   };

@@ -43,6 +43,17 @@ std::string format_fixed(double value, int digits) {
   return buf;
 }
 
+std::string safe_file_name(std::string_view name) {
+  std::string out;
+  for (const char c : name) {
+    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '-' || c == '_' ||
+                      c == '.';
+    out += safe ? c : '_';
+  }
+  return out.empty() ? "circuit" : out;
+}
+
 std::string join(const std::vector<std::string>& items, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < items.size(); ++i) {

@@ -23,6 +23,10 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Fixed-point formatting with `digits` decimals (printf %.*f).
 std::string format_fixed(double value, int digits);
 
+/// `name` with every character outside [A-Za-z0-9._-] replaced by '_'
+/// ("circuit" when empty): safe as one path component.
+std::string safe_file_name(std::string_view name);
+
 /// Joins the items with `sep` between them.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
 

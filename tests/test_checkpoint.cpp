@@ -20,6 +20,7 @@
 #include "opt/batch_report.hpp"
 #include "opt/checkpoint.hpp"
 #include "opt/circuit_load.hpp"
+#include "opt/run_options.hpp"
 #include "util/error.hpp"
 #include "util/journal.hpp"
 
@@ -29,6 +30,17 @@ namespace {
 namespace fs = std::filesystem;
 
 const std::vector<std::string> kSpecs = {"c17", "fulladder", "cmp2"};
+
+/// The manifest of a run over `specs` under `options`.
+std::string manifest_of(const std::vector<std::string>& specs, char scenario,
+                        std::uint64_t seed, const BatchOptions& options) {
+  RunOptions run;
+  run.circuits = specs;
+  run.scenario = scenario;
+  run.seed = seed;
+  run.batch = options;
+  return render_manifest(run);
+}
 
 class CheckpointTest : public ::testing::Test {
 protected:
@@ -71,38 +83,44 @@ protected:
 
 TEST_F(CheckpointTest, ManifestPinsEverythingThatShapesBytes) {
   BatchOptions base;
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, base);
-  EXPECT_EQ(manifest, render_manifest(kSpecs, 'A', 1, base));
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, base);
+  EXPECT_EQ(manifest, manifest_of(kSpecs, 'A', 1, base));
 
   // Every knob that changes result bytes must change the fingerprint.
-  EXPECT_NE(manifest, render_manifest({"c17"}, 'A', 1, base));
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'B', 1, base));
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 2, base));
+  EXPECT_NE(manifest, manifest_of({"c17"}, 'A', 1, base));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'B', 1, base));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 2, base));
   BatchOptions changed = base;
   changed.opt.objective = Objective::maximize_power;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
+  changed = base;
+  changed.opt.model = power::ModelKind::output_only;
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   changed = base;
   changed.opt.engine = Engine::anneal;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   changed = base;
   changed.opt.anneal.seed = 99;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
+  changed = base;
+  changed.opt.anneal.iterations_per_gate = 17;
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   changed = base;
   changed.opt.max_circuit_delay_increase = 0.1;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   changed = base;
   changed.opt.restrict_to_instance = true;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   // threads_per_circuit shapes the rendered "threads" field, so it is
   // pinned too...
   changed = base;
   changed.threads_per_circuit = 4;
-  EXPECT_NE(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   // ...but jobs never changes bytes — resuming under a different --jobs
   // is the whole point of crash recovery on a different machine.
   changed = base;
   changed.jobs = 7;
-  EXPECT_EQ(manifest, render_manifest(kSpecs, 'A', 1, changed));
+  EXPECT_EQ(manifest, manifest_of(kSpecs, 'A', 1, changed));
 }
 
 TEST_F(CheckpointTest, EntryNamesAreOrderedAndSanitized) {
@@ -112,7 +130,7 @@ TEST_F(CheckpointTest, EntryNamesAreOrderedAndSanitized) {
 }
 
 TEST_F(CheckpointTest, FreshModeRefusesAnExistingJournal) {
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, {});
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, {});
   CheckpointJournal first(dir_, false, manifest);
   try {
     CheckpointJournal second(dir_, false, manifest);
@@ -129,7 +147,7 @@ TEST_F(CheckpointTest, ResumeRequiresAManifest) {
 }
 
 TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, {});
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, {});
   // A journal written under another seed, and one naming the retired
   // "reference" engine: neither is this run's fingerprint.
   std::string retired_engine = manifest;
@@ -139,7 +157,7 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
   retired_engine.replace(at, engine_field.size(),
                          "\"engine\": \"reference\"");
   for (const std::string& stale :
-       {render_manifest(kSpecs, 'A', 2, {}), retired_engine}) {
+       {manifest_of(kSpecs, 'A', 2, {}), retired_engine}) {
     fs::remove_all(dir_);
     CheckpointJournal fresh(dir_, false, stale);
     try {
@@ -154,7 +172,7 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
 }
 
 TEST_F(CheckpointTest, ResumeRefusesADamagedManifest) {
-  CheckpointJournal fresh(dir_, false, render_manifest(kSpecs, 'A', 1, {}));
+  CheckpointJournal fresh(dir_, false, manifest_of(kSpecs, 'A', 1, {}));
   // Torn manifest: keep half the bytes.
   const std::string path = dir_ + "/manifest.jnl";
   std::ifstream in(path, std::ios::binary);
@@ -162,7 +180,7 @@ TEST_F(CheckpointTest, ResumeRefusesADamagedManifest) {
   in.close();
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(raw.data(), static_cast<std::streamsize>(raw.size() / 2));
-  EXPECT_THROW(CheckpointJournal(dir_, true, render_manifest(kSpecs, 'A', 1, {})),
+  EXPECT_THROW(CheckpointJournal(dir_, true, manifest_of(kSpecs, 'A', 1, {})),
                Error);
 }
 
@@ -194,7 +212,7 @@ TEST_F(CheckpointTest, ResumedRunRendersByteIdenticalOutput) {
     BatchOptions options;
     options.jobs = 1;
     options.opt.max_circuit_delay_increase = budget;
-    const std::string manifest = render_manifest(kSpecs, 'A', 1, options);
+    const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
 
     std::vector<BatchCircuit> original = load_batch(library);
     CheckpointJournal journal(dir_, false, manifest);
@@ -233,7 +251,7 @@ TEST_F(CheckpointTest, AnnealResultsResumeByteIdentical) {
   BatchOptions options;
   options.opt.engine = Engine::anneal;
   options.opt.anneal.iterations_per_gate = 16;
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, options);
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
 
   std::vector<BatchCircuit> original = load_batch(library);
   CheckpointJournal journal(dir_, false, manifest);
@@ -256,7 +274,7 @@ TEST_F(CheckpointTest, AnnealResultsResumeByteIdentical) {
 TEST_F(CheckpointTest, DamagedEntryWarnsAndRerunsByteIdentical) {
   const celllib::CellLibrary library = celllib::CellLibrary::standard();
   BatchOptions options;
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, options);
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
 
   std::vector<BatchCircuit> original = load_batch(library);
   CheckpointJournal journal(dir_, false, manifest);
@@ -289,7 +307,7 @@ TEST_F(CheckpointTest, DamagedEntryWarnsAndRerunsByteIdentical) {
 TEST_F(CheckpointTest, StaleEntryForADifferentCircuitIsRejected) {
   const celllib::CellLibrary library = celllib::CellLibrary::standard();
   BatchOptions options;
-  const std::string manifest = render_manifest(kSpecs, 'A', 1, options);
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
 
   std::vector<BatchCircuit> original = load_batch(library);
   CheckpointJournal journal(dir_, false, manifest);
@@ -318,7 +336,7 @@ TEST_F(CheckpointTest, OnlyOkCircuitsAreJournaled) {
   failed.name = "c17";
   failed.status = CircuitStatus::error;
 
-  CheckpointJournal journal(dir_, false, render_manifest({"c17"}, 'A', 1, {}));
+  CheckpointJournal journal(dir_, false, manifest_of({"c17"}, 'A', 1, {}));
   journal.record(0, circuit, failed);
   EXPECT_TRUE(journal.warnings().empty());
   EXPECT_FALSE(fs::exists(dir_ + "/" + entry_name(0, "c17")));

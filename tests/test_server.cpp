@@ -272,8 +272,36 @@ TEST(ServerCorpus, StrictRequestValidation) {
   expect_invalid(R"({"circuits": ["c17"], "engine": "reference"})",
                  "request: unknown engine 'reference' (expected "
                  "catalog|anneal)");
+  expect_invalid(R"({"circuits": ["c17"], "objective": "min"})",
+                 "request: unknown objective 'min' (expected "
+                 "minimize|maximize)");
 
   expect_serves_cleanly(daemon.port());
+}
+
+TEST(ServerCorpus, RangeViolationsAreInvalidAtSubmit) {
+  // A value outside its schema range never reaches an executor: it is an
+  // invalid_argument error at submit, counted as invalid, not a failure.
+  OptimizeService service;
+  struct CaptureSink : Sink {
+    std::string error;
+    void on_progress(const std::string&) override {}
+    void on_response(const std::string&) override {}
+    void on_error(const std::string& payload) override { error = payload; }
+  };
+  const auto sink = std::make_shared<CaptureSink>();
+  EXPECT_FALSE(
+      service
+          .submit(R"({"circuits": ["c17"], "threads_per_circuit": -1})", sink)
+          .valid());
+  const JsonValue doc = util::json_parse(sink->error);
+  EXPECT_EQ(doc.find("code")->as_string("code"), "invalid_argument");
+  EXPECT_EQ(doc.find("message")->as_string("message"),
+            "request: threads_per_circuit must be an integer in "
+            "0..2147483647");
+  service.drain();
+  EXPECT_EQ(service.metrics().invalid, 1u);
+  EXPECT_EQ(service.metrics().error, 0u);
 }
 
 // ---------------------------------------------------------------------------
