@@ -56,12 +56,16 @@ fail() {
   exit 1
 }
 
-# The soak workload: slow enough (annealing, serial circuits) that a
-# SIGKILL lands mid-suite, deterministic output under --no-timing
-# --no-cache-stats. Keep flags identical across oracle/crash/resume —
-# the checkpoint manifest pins them.
-WORKLOAD=(--suite table3 --engine anneal --anneal-iters 512
-  --jobs 1 --no-timing --no-cache-stats)
+# The soak workload: slow enough (the budgeted greedy walk over three
+# serial passes of table3 + scaled) that a SIGKILL lands mid-suite,
+# deterministic output under --no-timing --no-cache-stats. Three
+# passes keep the full report, per-gate configuration arrays included,
+# under the wire's 16 MiB frame limit. Keep flags identical across
+# oracle/crash/resume — the checkpoint manifest pins them.
+WORKLOAD=()
+for _ in 1 2 3; do WORKLOAD+=(--suite table3 --suite scaled); done
+WORKLOAD+=(--delay-budget 0.05 --jobs 1 --threads-per-circuit 1
+  --no-timing --no-cache-stats)
 
 echo "chaos_soak: oracle run (serial, fresh process)"
 "$TR_OPT" "${WORKLOAD[@]}" > "$WORK/oracle.json" 2> "$WORK/oracle.log"

@@ -54,12 +54,11 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.value(result.primary_inputs);
   w.key("primary_outputs");
   w.value(result.primary_outputs);
-  // The engine, read off the report (annealing runs carry their search
-  // statistics), and the worker threads the scoring phase really used —
-  // budgeted runs are sequential whatever was requested.
+  // The engine (schema v4 keeps the key; greedy is the only one) and the
+  // worker threads the scoring phase really used — budgeted runs are
+  // sequential whatever was requested.
   w.key("engine");
-  w.value(engine_name(result.report.anneal ? Engine::anneal
-                                          : Engine::catalog));
+  w.value("catalog");
   w.key("threads");
   w.value(result.report.threads_used);
   w.key("model_power_before_w");
@@ -79,24 +78,6 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.value(result.report.configs_rejected_by_delay);
   w.key("configs_rejected_by_instance");
   w.value(result.report.configs_rejected_by_instance);
-  if (result.report.anneal) {
-    const AnnealStats& anneal = *result.report.anneal;
-    w.key("anneal");
-    w.begin_object();
-    w.key("iterations");
-    w.value(static_cast<std::int64_t>(anneal.iterations));
-    w.key("accepted");
-    w.value(static_cast<std::int64_t>(anneal.accepted));
-    w.key("uphill_accepted");
-    w.value(static_cast<std::int64_t>(anneal.uphill_accepted));
-    w.key("rejected_delay");
-    w.value(static_cast<std::int64_t>(anneal.rejected_delay));
-    w.key("greedy_power_w");
-    w.value(anneal.greedy_power);
-    w.key("final_power_w");
-    w.value(anneal.final_power);
-    w.end_object();
-  }
   if (json.include_gate_configs) {
     // Committed configurations of every *changed* gate, GateId order —
     // enough to re-apply the result to a canonically-configured netlist
@@ -152,11 +133,11 @@ void write_batch_json(const std::vector<BatchCircuit>& batch,
           "write_batch_json: batch and report sizes differ");
   JsonWriter w(out);
   w.begin_object();
-  // Schema v3: the top-level engine key became "engine_requested" (the
-  // option), and every ok circuit carries "engine" + "threads" (what
-  // actually ran, from the report). Schema v4: error objects carry
-  // "retryable" (the ErrorCode retry classification, DESIGN.md
-  // Sec. 15.3).
+  // Schema v3: the top-level engine key became "engine_requested", and
+  // every ok circuit carries "engine" + "threads" (what actually ran).
+  // With one engine left both engine keys are the literal "catalog".
+  // Schema v4: error objects carry "retryable" (the ErrorCode retry
+  // classification, DESIGN.md Sec. 15.3).
   w.key("schema_version");
   w.value(4);
   w.key("generator");
@@ -166,7 +147,7 @@ void write_batch_json(const std::vector<BatchCircuit>& batch,
   w.key("model");
   w.value(model_name(options.opt.model));
   w.key("engine_requested");
-  w.value(engine_name(options.opt.engine));
+  w.value("catalog");
   w.key("delay_budget");
   if (options.opt.max_circuit_delay_increase) {
     w.value(*options.opt.max_circuit_delay_increase);

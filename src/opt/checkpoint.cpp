@@ -71,9 +71,6 @@ std::string render_entry(std::size_t index, const BatchCircuit& circuit,
   w.value(result.primary_inputs);
   w.key("primary_outputs");
   w.value(result.primary_outputs);
-  w.key("engine");
-  w.value(engine_name(result.report.anneal ? Engine::anneal
-                                          : Engine::catalog));
   w.key("threads");
   w.value(result.report.threads_used);
   w.key("model_power_before_w");
@@ -90,24 +87,6 @@ std::string render_entry(std::size_t index, const BatchCircuit& circuit,
   w.value(result.report.configs_rejected_by_delay);
   w.key("configs_rejected_by_instance");
   w.value(result.report.configs_rejected_by_instance);
-  if (result.report.anneal) {
-    const AnnealStats& anneal = *result.report.anneal;
-    w.key("anneal");
-    w.begin_object();
-    w.key("iterations");
-    w.value(anneal.iterations);
-    w.key("accepted");
-    w.value(anneal.accepted);
-    w.key("uphill_accepted");
-    w.value(anneal.uphill_accepted);
-    w.key("rejected_delay");
-    w.value(anneal.rejected_delay);
-    w.key("greedy_power_w");
-    w.value(anneal.greedy_power);
-    w.key("final_power_w");
-    w.value(anneal.final_power);
-    w.end_object();
-  }
   // Only *changed* decisions are journaled: they are exactly what the
   // report renders and what the netlist needs re-applied; unchanged
   // gates are already in their loaded configuration.
@@ -258,20 +237,6 @@ int CheckpointJournal::load(std::vector<BatchCircuit>& batch) {
       result.report.configs_rejected_by_instance =
           static_cast<int>(field(doc, "configs_rejected_by_instance")
                                .as_i64("configs_rejected_by_instance"));
-      if (const util::JsonValue* anneal = doc.find("anneal")) {
-        AnnealStats stats;
-        stats.iterations = field(*anneal, "iterations").as_u64("iterations");
-        stats.accepted = field(*anneal, "accepted").as_u64("accepted");
-        stats.uphill_accepted =
-            field(*anneal, "uphill_accepted").as_u64("uphill_accepted");
-        stats.rejected_delay =
-            field(*anneal, "rejected_delay").as_u64("rejected_delay");
-        stats.greedy_power =
-            field(*anneal, "greedy_power_w").as_double("greedy_power_w");
-        stats.final_power =
-            field(*anneal, "final_power_w").as_double("final_power_w");
-        result.report.anneal = stats;
-      }
 
       // Re-apply the committed configurations. The reloaded netlist is
       // deterministic, so output-net lookup pins each decision to the

@@ -2,7 +2,7 @@
 // Checkpoint/resume journaling for batch optimization (DESIGN.md
 // Sec. 15.2).
 //
-// Long batches (annealing sweeps, the syn1000..syn8000 tier) lose every
+// Long batches (the syn1000..syn8000 tier, budgeted sweeps) lose every
 // completed circuit to a SIGKILL/OOM/reboot without durable progress.
 // A CheckpointJournal fixes that: each circuit that completes with
 // status `ok` is serialized — its report numerics plus the committed

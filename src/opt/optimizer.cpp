@@ -23,10 +23,6 @@ const char* model_name(power::ModelKind model) noexcept {
   return model == power::ModelKind::extended ? "extended" : "output_only";
 }
 
-const char* engine_name(Engine engine) noexcept {
-  return engine == Engine::catalog ? "catalog" : "anneal";
-}
-
 namespace {
 
 /// Whichever of the two values of an enum `spell` names `name`.
@@ -51,11 +47,6 @@ Objective objective_from_name(std::string_view name) {
 power::ModelKind model_from_name(std::string_view name) {
   return from_name(name, "model", power::ModelKind::extended,
                    power::ModelKind::output_only, model_name);
-}
-
-Engine engine_from_name(std::string_view name) {
-  return from_name(name, "engine", Engine::catalog, Engine::anneal,
-                   engine_name);
 }
 
 using boolfn::SignalStats;
@@ -240,7 +231,7 @@ OptimizeReport optimize_catalog(Netlist& netlist,
 
   // UPDATE_CIRCUIT_INFORMATION: commit and assemble deterministically in
   // GateId order; power totals accumulate in topological order, the
-  // summation order of the sequential engines' commit (opt/search.cpp).
+  // summation order of the budgeted walk's commit (opt/search.cpp).
   OptimizeReport report;
   report.threads_used = pool->thread_count();
   report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
@@ -271,18 +262,13 @@ OptimizeReport optimize(Netlist& netlist,
                         const celllib::Tech& tech,
                         const OptimizeOptions& options) {
   return with_error_site("optimize", [&] {
+    // Arrival budgeting couples a gate's admissible set to its fan-in
+    // gates' committed configurations: one sequential walk over the
+    // precomputed tables.
     if (options.max_circuit_delay_increase) {
       const double budget = *options.max_circuit_delay_increase;
       require(std::isfinite(budget) && budget >= 0.0,
               "optimize: max_circuit_delay_increase must be finite and >= 0");
-    }
-    if (options.engine == Engine::anneal) {
-      return search::anneal_optimize(netlist, pi_stats, tech, options);
-    }
-    // Arrival budgeting couples a gate's admissible set to its fan-in
-    // gates' committed configurations: one sequential walk over the
-    // precomputed tables.
-    if (options.max_circuit_delay_increase.has_value()) {
       return search::greedy_optimize(netlist, pi_stats, tech, options);
     }
     return optimize_catalog(netlist, pi_stats, tech, options);

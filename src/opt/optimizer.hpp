@@ -20,7 +20,6 @@
 // graph-rebuild engine lives on only as the tests' oracle
 // (tests/oracle/); the parity suite asserts bit-identical reports.
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -42,55 +41,17 @@ namespace tr::opt {
 /// regard to worst case").
 enum class Objective { minimize_power, maximize_power };
 
-/// Which scoring engine optimize() runs.
-enum class Engine {
-  /// The paper's greedy pass (default): catalog + word-parallel kernel +
-  /// gate-parallel traversal; with a delay budget, the sequential
-  /// table-driven greedy walk (search::greedy_seed).
-  catalog,
-  /// Iterated local search / simulated annealing over joint gate
-  /// configurations on the incremental fanout-cone rescorer
-  /// (opt/search.hpp, DESIGN.md Sec. 14). Seeded from the catalog
-  /// engine's greedy walk, so the result never loses to greedy at the
-  /// same delay budget. Deterministic per (inputs, options,
-  /// anneal.seed); always runs its search serially.
-  anneal,
-};
-
-/// Stable lowercase enum spellings: the values of the `objective`,
-/// `model` and `engine` options (opt/run_options.hpp) and of the report
-/// header (which appends "_power" to the objective).
+/// Stable lowercase enum spellings: the values of the `objective` and
+/// `model` options (opt/run_options.hpp) and of the report header (which
+/// appends "_power" to the objective).
 const char* objective_name(Objective objective) noexcept;
 const char* model_name(power::ModelKind model) noexcept;
-const char* engine_name(Engine engine) noexcept;
 
 /// Inverses of the *_name spellings — the one parser of each option
 /// value. Throw tr::Error (invalid_argument) naming the accepted values
 /// for anything else.
 Objective objective_from_name(std::string_view name);
 power::ModelKind model_from_name(std::string_view name);
-Engine engine_from_name(std::string_view name);
-
-/// Knobs of the annealing engine (used when engine == Engine::anneal).
-/// All defaults are deterministic; the search length is a pure function
-/// of the circuit size, never of wall-clock time.
-struct AnnealParams {
-  /// Seed of the move stream. Same seed, inputs and options => a
-  /// byte-identical report.
-  std::uint64_t seed = 1;
-  /// Move budget per gate: iterations = max(min_iterations,
-  /// iterations_per_gate * gate_count).
-  int iterations_per_gate = 256;
-  int min_iterations = 4096;
-  /// Initial temperature as a fraction of the mean per-gate power span
-  /// (max - min over the gate's configurations); the schedule decays
-  /// geometrically to final_temp_ratio * T0 over the move budget.
-  double initial_temp_scale = 0.5;
-  double final_temp_ratio = 1e-3;
-  /// Accepted moves between required-time (slack) refreshes; stale slack
-  /// only weakens the early-rejection prune, never correctness.
-  int slack_refresh = 32;
-};
 
 struct OptimizeOptions {
   Objective objective = Objective::minimize_power;
@@ -109,10 +70,8 @@ struct OptimizeOptions {
   /// without increasing the delay of the circuit", distinct from
   /// nullopt (the default), which disables the constraint entirely.
   /// The value must be finite and >= 0 (enforced by optimize()).
-  /// Budgeted greedy runs are sequential (a gate's admissible set
-  /// depends on its fan-in gates' committed configurations);
-  /// Engine::anneal lifts the per-net ceilings to a global search over
-  /// per-output ceilings (DESIGN.md Sec. 14).
+  /// Budgeted runs are sequential: a gate's admissible set depends on
+  /// its fan-in gates' committed configurations.
   std::optional<double> max_circuit_delay_increase;
 
   /// Paper conclusion (a): when true, only configurations realisable by
@@ -122,15 +81,8 @@ struct OptimizeOptions {
   /// library.
   bool restrict_to_instance = false;
 
-  /// Scoring engine selection (see Engine).
-  Engine engine = Engine::catalog;
-
-  /// Annealing knobs; consulted only when engine == Engine::anneal.
-  AnnealParams anneal;
-
   /// Worker threads for the gate-parallel phase; 0 = one per hardware
-  /// thread, 1 = serial. Ignored by the sequential (budgeted greedy and
-  /// annealing) runs.
+  /// thread, 1 = serial. Ignored by the sequential budgeted runs.
   int threads = 0;
 
   /// Cooperative cancellation, polled at gate granularity. A cancelled
@@ -151,34 +103,18 @@ struct GateDecision {
   bool changed = false;         ///< configuration was rewritten
 };
 
-/// Search statistics of an annealing run (OptimizeReport::anneal).
-struct AnnealStats {
-  std::uint64_t iterations = 0;       ///< moves drawn (incl. null moves)
-  std::uint64_t accepted = 0;         ///< moves kept (incl. uphill)
-  std::uint64_t uphill_accepted = 0;  ///< kept despite a worse objective
-  /// Moves rejected because a primary output would leave its ceiling
-  /// (includes the slack-prune early rejections).
-  std::uint64_t rejected_delay = 0;
-  double greedy_power = 0.0;  ///< power of the greedy seed solution [W]
-  double final_power = 0.0;   ///< power of the committed best state [W]
-};
-
 struct OptimizeReport {
   std::vector<GateDecision> decisions;  ///< one per gate, GateId order
   double model_power_before = 0.0;  ///< circuit gate power, incoming configs
   double model_power_after = 0.0;   ///< circuit gate power, committed configs
   int gates_changed = 0;
-  /// Candidates rejected by the delay constraint (0 when disabled). For
-  /// the annealing engine this counts the greedy seed phase; move-level
-  /// rejections live in `anneal`.
+  /// Candidates rejected by the delay constraint (0 when disabled).
   int configs_rejected_by_delay = 0;
   /// Candidates skipped by the instance restriction (0 when disabled).
   int configs_rejected_by_instance = 0;
   /// Gate-level worker threads the scoring phase actually used (1 for
-  /// the sequential budgeted greedy and annealing runs).
+  /// the sequential budgeted runs).
   int threads_used = 1;
-  /// Present iff the run used Engine::anneal.
-  std::optional<AnnealStats> anneal;
 };
 
 /// Reusable scoring buffers. One scratch per thread amortises the

@@ -25,7 +25,6 @@ void assign(Objective& f, const Json& v) { f = objective_from_name(v.string); }
 void assign(power::ModelKind& f, const Json& v) {
   f = model_from_name(v.string);
 }
-void assign(Engine& f, const Json& v) { f = engine_from_name(v.string); }
 void assign(char& scenario, const Json& v) {
   if (v.string != "A" && v.string != "B") {
     throw Error("scenario must be \"A\" or \"B\"", ErrorCode::invalid_argument);
@@ -45,9 +44,6 @@ void emit(util::JsonWriter& w, const char* name, Objective value) {
 }
 void emit(util::JsonWriter& w, const char* name, power::ModelKind value) {
   emit(w, name, model_name(value));
-}
-void emit(util::JsonWriter& w, const char* name, Engine value) {
-  emit(w, name, engine_name(value));
 }
 void emit(util::JsonWriter& w, const char* name, char scenario) {
   emit(w, name, std::string(1, scenario));
@@ -119,20 +115,6 @@ std::span<const OptionSpec<RunOptions>> run_option_table() {
              .help = "keep the critical path within (1+F)x (default off)"},
             [](auto& r) -> auto& {
               return r.batch.opt.max_circuit_delay_increase;
-            }),
-      field({.name = "engine", .kind = enumeration, .hint = "catalog|anneal",
-             .shapes_output = true,
-             .help = "greedy pass, or annealing seeded by it (default "
-                     "catalog)"},
-            [](auto& r) -> auto& { return r.batch.opt.engine; }),
-      field({.name = "anneal_seed", .kind = u64, .hint = "N",
-             .shapes_output = true, .help = "annealing move seed (default 1)"},
-            [](auto& r) -> auto& { return r.batch.opt.anneal.seed; }),
-      field({.name = "anneal_iters", .kind = integer, .hint = "N", .lo = 1,
-             .hi = kIntMax, .shapes_output = true,
-             .help = "annealing moves per gate (default 256)"},
-            [](auto& r) -> auto& {
-              return r.batch.opt.anneal.iterations_per_gate;
             }),
       field({.name = "restrict_instance", .kind = boolean,
              .shapes_output = true,

@@ -56,7 +56,7 @@ score_configurations_reference(
 /// gate along the topological order (paper Fig. 3), honouring
 /// objective, model, instance restriction, delay budget and
 /// cancellation (polled per gate; a cancelled run leaves the gates
-/// committed so far). options.engine and options.threads are ignored.
+/// committed so far). options.threads is ignored.
 opt::OptimizeReport optimize_reference(
     netlist::Netlist& netlist,
     const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,

@@ -97,15 +97,6 @@ TEST_F(CheckpointTest, ManifestPinsEverythingThatShapesBytes) {
   changed.opt.model = power::ModelKind::output_only;
   EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   changed = base;
-  changed.opt.engine = Engine::anneal;
-  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
-  changed = base;
-  changed.opt.anneal.seed = 99;
-  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
-  changed = base;
-  changed.opt.anneal.iterations_per_gate = 17;
-  EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
-  changed = base;
   changed.opt.max_circuit_delay_increase = 0.1;
   EXPECT_NE(manifest, manifest_of(kSpecs, 'A', 1, changed));
   changed = base;
@@ -148,14 +139,15 @@ TEST_F(CheckpointTest, ResumeRequiresAManifest) {
 
 TEST_F(CheckpointTest, ResumeRefusesAMismatchedManifest) {
   const std::string manifest = manifest_of(kSpecs, 'A', 1, {});
-  // A journal written under another seed, and one naming the retired
-  // "reference" engine: neither is this run's fingerprint.
+  // A journal written under another seed, and one written before the
+  // engine options were retired (it still carries them, at their
+  // defaults): neither is this run's fingerprint.
   std::string retired_engine = manifest;
-  const std::string engine_field = "\"engine\": \"catalog\"";
-  const std::size_t at = retired_engine.find(engine_field);
+  const std::size_t at = retired_engine.find("\"restrict_instance\"");
   ASSERT_NE(at, std::string::npos);
-  retired_engine.replace(at, engine_field.size(),
-                         "\"engine\": \"reference\"");
+  retired_engine.insert(at,
+                        "\"engine\": \"catalog\", \"anneal_seed\": 1, "
+                        "\"anneal_iters\": 256, ");
   for (const std::string& stale :
        {manifest_of(kSpecs, 'A', 2, {}), retired_engine}) {
     fs::remove_all(dir_);
@@ -244,31 +236,6 @@ TEST_F(CheckpointTest, ResumedRunRendersByteIdenticalOutput) {
     write_batch_json(resumed, report, resumed_options, out, json);
     EXPECT_EQ(out.str(), uninterrupted);
   }
-}
-
-TEST_F(CheckpointTest, AnnealResultsResumeByteIdentical) {
-  const celllib::CellLibrary library = celllib::CellLibrary::standard();
-  BatchOptions options;
-  options.opt.engine = Engine::anneal;
-  options.opt.anneal.iterations_per_gate = 16;
-  const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
-
-  std::vector<BatchCircuit> original = load_batch(library);
-  CheckpointJournal journal(dir_, false, manifest);
-  const std::string uninterrupted =
-      run_journaled(library, original, options, journal);
-
-  std::vector<BatchCircuit> resumed = load_batch(library);
-  CheckpointJournal resume(dir_, true, manifest);
-  EXPECT_EQ(resume.load(resumed), static_cast<int>(kSpecs.size()));
-  const celllib::Tech tech;
-  const BatchReport report = BatchOptimizer(library, tech, options).run(resumed);
-  std::ostringstream out;
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_cache_stats = false;
-  write_batch_json(resumed, report, options, out, json);
-  EXPECT_EQ(out.str(), uninterrupted);
 }
 
 TEST_F(CheckpointTest, DamagedEntryWarnsAndRerunsByteIdentical) {

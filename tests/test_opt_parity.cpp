@@ -48,7 +48,6 @@ void expect_engine_parity(const Netlist& original,
   Netlist fast_netlist = original;
   Netlist reference_netlist = original;
 
-  options.engine = Engine::catalog;
   options.threads = 3;  // exercise the pool even on small machines
   const OptimizeReport fast = optimize(fast_netlist, stats, tech, options);
   const OptimizeReport reference =
@@ -195,15 +194,14 @@ TEST(OptParity, ScratchReuseDoesNotChangeResults) {
 }
 
 TEST(OptParity, DelayBudgetRoutesToReferenceEngine) {
-  // Arrival budgeting is sequential by nature; requesting it with the
-  // (gate-parallel) catalog engine must still produce the oracle's
-  // sequential result.
+  // Arrival budgeting is sequential by nature; requesting it with
+  // several gate workers must still produce the oracle's sequential
+  // result.
   const Netlist original = benchgen::ripple_carry_adder(lib(), 4);
   const auto stats = scenario_b(original, 1e6);
   const Tech tech;
   OptimizeOptions budgeted;
   budgeted.max_circuit_delay_increase = 0.0;
-  budgeted.engine = Engine::catalog;
   budgeted.threads = 2;
   Netlist a = original;
   const OptimizeReport ra = optimize(a, stats, tech, budgeted);

@@ -152,15 +152,13 @@ TEST(RunOptions, SurfaceMatchesTheHandWrittenParsers) {
             (std::set<std::string>{
                 "circuits", "suite", "scenario", "seed", "jobs",
                 "threads_per_circuit", "objective", "model", "delay_budget",
-                "engine", "anneal_seed", "anneal_iters", "restrict_instance",
-                "keep_going", "deadline_ms", "priority", "gate_configs",
-                "request_id"}));
+                "restrict_instance", "keep_going", "deadline_ms",
+                "priority", "gate_configs", "request_id"}));
   EXPECT_EQ(flags,
             (std::set<std::string>{
                 "--suite", "--scenario", "--seed", "--jobs",
                 "--threads-per-circuit", "--objective", "--model",
-                "--delay-budget", "--engine", "--anneal-seed",
-                "--anneal-iters", "--restrict-instance", "--keep-going",
+                "--delay-budget", "--restrict-instance", "--keep-going",
                 "--fail-fast", "--deadline-ms", "--priority",
                 "--no-gate-configs", "--request-id"}));
 }
@@ -303,8 +301,8 @@ TEST(RunOptionsCli, HelpListsTheHandWrittenParsersFlagSet) {
       (std::set<std::string>{
           "--suite", "--scenario", "--seed", "--jobs",
           "--threads-per-circuit", "--objective", "--model",
-          "--delay-budget", "--engine", "--anneal-seed", "--anneal-iters",
-          "--restrict-instance", "--keep-going", "--fail-fast",
+          "--delay-budget", "--restrict-instance", "--keep-going",
+          "--fail-fast",
           "--deadline-ms", "--priority", "--no-gate-configs",
           "--request-id", "--out", "--no-timing", "--no-cache-stats",
           "--checkpoint", "--resume", "--serve", "--port", "--host",

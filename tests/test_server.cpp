@@ -269,9 +269,12 @@ TEST(ServerCorpus, StrictRequestValidation) {
   expect_invalid(R"({"circuits": ["c17"], "delay_budget": -0.5})",
                  "request: delay_budget must be a non-negative number or "
                  "null");
-  expect_invalid(R"({"circuits": ["c17"], "engine": "reference"})",
-                 "request: unknown engine 'reference' (expected "
-                 "catalog|anneal)");
+  // The retired engine options: a client that still sends them gets a
+  // structured error, never a silently different run.
+  expect_invalid(R"({"circuits": ["c17"], "engine": "catalog"})",
+                 "request: unknown field 'engine'");
+  expect_invalid(R"({"circuits": ["c17"], "anneal_iters": 5})",
+                 "request: unknown field 'anneal_iters'");
   expect_invalid(R"({"circuits": ["c17"], "objective": "min"})",
                  "request: unknown objective 'min' (expected "
                  "minimize|maximize)");
