@@ -20,8 +20,8 @@
 // run so callers can assert cache effectiveness.
 //
 // Determinism: every field of the report except the wall-clock
-// measurements (elapsed_ms) is bit-identical for any `jobs` and
-// `threads_per_circuit` values — circuits are independent, workers write
+// measurements (elapsed_ms) and each circuit's threads_used is
+// bit-identical for any `jobs` and `threads_per_circuit` values — circuits are independent, workers write
 // disjoint slots, results are assembled in input order, and optimize()
 // itself is deterministic by contract.
 //

@@ -55,8 +55,7 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.key("primary_outputs");
   w.value(result.primary_outputs);
   // The engine (schema v4 keeps the key; greedy is the only one) and the
-  // worker threads the scoring phase really used — budgeted runs are
-  // sequential whatever was requested.
+  // worker threads the scoring phase really used.
   w.key("engine");
   w.value("catalog");
   w.key("threads");

@@ -1,8 +1,7 @@
 #include "opt/optimizer.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <optional>
 #include <string>
 
 #include "celllib/cell.hpp"
@@ -11,7 +10,6 @@
 #include "power/gate_power.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tr::opt {
 
@@ -123,155 +121,59 @@ std::vector<std::pair<GateTopology, double>> score_configurations(
                               scratch);
 }
 
-namespace {
-
-/// The unbudgeted gate-parallel engine (catalog + word-parallel kernel):
-/// without arrival ceilings every gate's choice is independent.
-OptimizeReport optimize_catalog(Netlist& netlist,
-                                const std::map<NetId, SignalStats>& pi_stats,
-                                const celllib::Tech& tech,
-                                const OptimizeOptions& options) {
-  netlist.validate();
-
-  // OBTAIN_PROBABILITIES + CALCULATE_DENS as one up-front topological
-  // pass: output statistics come from the cell function and are identical
-  // for every configuration (Sec. 4.2), so they never depend on any
-  // reordering decision.
-  const std::vector<SignalStats> net_stats =
-      power::propagate_activity(netlist, pi_stats).net_stats;
-  const std::vector<GateId> topo_order = netlist.topological_order();
-
-  // Catalog prefetch, serial: the CellLibrary cache makes this one
-  // characterisation per distinct cell configuration, shared by all gates.
-  const bool cancellable = options.cancel.valid();
-  std::vector<std::shared_ptr<const ReorderCatalog>> catalogs(
-      static_cast<std::size_t>(netlist.gate_count()));
-  for (GateId g = 0; g < netlist.gate_count(); ++g) {
-    if (cancellable) options.cancel.check("optimize");
-    catalogs[static_cast<std::size_t>(g)] = with_error_site("characterize", [&] {
-      return netlist.library().catalog(netlist.gate(g).config);
-    });
-  }
-
-  // FIND_BEST_REORDERING for all gates, concurrently: decisions are
-  // independent, each worker writes only its own gate's slot.
-  struct GateOutcome {
-    GateDecision decision;
-    std::size_t chosen = 0;
-    int rejected_instance = 0;
-  };
-  std::vector<GateOutcome> outcomes(
-      static_cast<std::size_t>(netlist.gate_count()));
-  // Auto-sized runs share one long-lived pool (spawning and joining
-  // threads per optimize() call would dominate small netlists); the pool
-  // is a single-submitter structure, so concurrent optimize() calls
-  // serialise their parallel phases on the guard mutex. An explicit
-  // thread count gets a dedicated pool.
-  util::ThreadPool* pool = nullptr;
-  std::unique_lock<std::mutex> shared_guard;
-  std::optional<util::ThreadPool> own_pool;
-  if (options.threads == 0) {
-    static std::mutex shared_pool_mutex;
-    static util::ThreadPool shared_pool(0);
-    shared_guard = std::unique_lock<std::mutex>(shared_pool_mutex);
-    pool = &shared_pool;
-  } else {
-    own_pool.emplace(options.threads);
-    pool = &*own_pool;
-  }
-  pool->parallel_for(
-      static_cast<std::size_t>(netlist.gate_count()), [&](std::size_t gi) {
-        if (cancellable) options.cancel.check("optimize");
-        thread_local ScoreScratch scratch;
-        thread_local std::vector<SignalStats> inputs;
-        const GateId g = static_cast<GateId>(gi);
-        inputs.clear();
-        for (NetId in : netlist.gate(g).inputs) {
-          inputs.push_back(net_stats[static_cast<std::size_t>(in)]);
-        }
-        const ReorderCatalog& catalog = *catalogs[gi];
-        const double load = netlist.external_load(g, tech);
-        const std::vector<double>& powers = with_error_site("score", [&]() -> const std::vector<double>& {
-          return score_catalog(catalog, inputs, load, tech, options.model,
-                               scratch);
-        });
-        TR_ASSERT(!powers.empty());
-
-        GateOutcome& outcome = outcomes[gi];
-        GateDecision& decision = outcome.decision;
-        decision.gate = g;
-        decision.config_count = static_cast<int>(powers.size());
-        decision.original_power = powers.front();  // incoming config first
-        decision.best_power = powers.front();
-        decision.worst_power = powers.front();
-        std::size_t chosen = 0;
-        for (std::size_t i = 0; i < powers.size(); ++i) {
-          const double p = powers[i];
-          if (p < decision.best_power) decision.best_power = p;
-          if (p > decision.worst_power) decision.worst_power = p;
-          if (options.restrict_to_instance &&
-              !catalog.configs()[i].same_instance_as_first) {
-            ++outcome.rejected_instance;
-            continue;
-          }
-          const bool better = options.objective == Objective::minimize_power
-                                  ? p < powers[chosen]
-                                  : p > powers[chosen];
-          if (better) chosen = i;
-        }
-        decision.chosen_power = powers[chosen];
-        decision.changed = chosen != 0;
-        outcome.chosen = chosen;
-      });
-
-  // Last cancellation point: past here the netlist is mutated, so the
-  // commit runs to completion and the result is the full deterministic
-  // report (all-or-nothing without needing a snapshot on this engine).
-  if (cancellable) options.cancel.check("optimize");
-
-  // UPDATE_CIRCUIT_INFORMATION: commit and assemble deterministically in
-  // GateId order; power totals accumulate in topological order, the
-  // summation order of the budgeted walk's commit (opt/search.cpp).
-  OptimizeReport report;
-  report.threads_used = pool->thread_count();
-  report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
-  for (GateId g = 0; g < netlist.gate_count(); ++g) {
-    const GateOutcome& outcome = outcomes[static_cast<std::size_t>(g)];
-    report.decisions[static_cast<std::size_t>(g)] = outcome.decision;
-    report.configs_rejected_by_instance += outcome.rejected_instance;
-    if (outcome.decision.changed) {
-      netlist.set_config(
-          g, catalogs[static_cast<std::size_t>(g)]->configs()[outcome.chosen]
-                 .topology);
-      ++report.gates_changed;
-    }
-  }
-  for (GateId g : topo_order) {
-    report.model_power_before +=
-        report.decisions[static_cast<std::size_t>(g)].original_power;
-    report.model_power_after +=
-        report.decisions[static_cast<std::size_t>(g)].chosen_power;
-  }
-  return report;
-}
-
-}  // namespace
-
 OptimizeReport optimize(Netlist& netlist,
                         const std::map<NetId, SignalStats>& pi_stats,
                         const celllib::Tech& tech,
                         const OptimizeOptions& options) {
   return with_error_site("optimize", [&] {
-    // Arrival budgeting couples a gate's admissible set to its fan-in
-    // gates' committed configurations: one sequential walk over the
-    // precomputed tables.
     if (options.max_circuit_delay_increase) {
       const double budget = *options.max_circuit_delay_increase;
       require(std::isfinite(budget) && budget >= 0.0,
               "optimize: max_circuit_delay_increase must be finite and >= 0");
-      return search::greedy_optimize(netlist, pi_stats, tech, options);
     }
-    return optimize_catalog(netlist, pi_stats, tech, options);
+    // FIND_BEST_REORDERING: score every configuration of every gate,
+    // then one greedy walk picks per gate.
+    const search::IncrementalScorer scorer(netlist, pi_stats, tech,
+                                           options.model, options.cancel,
+                                           options.threads);
+    const search::GreedySeed seed = search::greedy_seed(scorer, options);
+    // Last cancellation point: past here the netlist is mutated, so the
+    // commit runs to completion (all-or-nothing without a snapshot).
+    if (options.cancel.valid()) options.cancel.check("optimize");
+
+    // UPDATE_CIRCUIT_INFORMATION: commit and assemble deterministically
+    // in GateId order; power totals accumulate in topological order.
+    OptimizeReport report;
+    report.threads_used = scorer.threads_used();
+    report.configs_rejected_by_delay = seed.rejected_delay;
+    report.configs_rejected_by_instance = seed.rejected_instance;
+    report.decisions.resize(static_cast<std::size_t>(scorer.gate_count()));
+    for (GateId g = 0; g < scorer.gate_count(); ++g) {
+      const search::GateTable& table = scorer.table(g);
+      const auto chosen =
+          static_cast<std::size_t>(seed.configs[static_cast<std::size_t>(g)]);
+      GateDecision& decision = report.decisions[static_cast<std::size_t>(g)];
+      decision.gate = g;
+      decision.config_count = table.config_count();
+      decision.original_power = table.power.front();
+      decision.best_power =
+          *std::min_element(table.power.begin(), table.power.end());
+      decision.worst_power =
+          *std::max_element(table.power.begin(), table.power.end());
+      decision.chosen_power = table.power[chosen];
+      decision.changed = chosen != 0;
+      if (decision.changed) {
+        netlist.set_config(g, table.catalog->configs()[chosen].topology);
+        ++report.gates_changed;
+      }
+    }
+    for (GateId g : scorer.topo_order()) {
+      report.model_power_before +=
+          report.decisions[static_cast<std::size_t>(g)].original_power;
+      report.model_power_after +=
+          report.decisions[static_cast<std::size_t>(g)].chosen_power;
+    }
+    return report;
   });
 }
 

@@ -4,21 +4,23 @@
 //
 // Signal statistics are configuration-invariant (Sec. 4.2), so the
 // algorithm splits into one cheap topological pass that propagates
-// probabilities and transition densities, followed by per-gate decisions
-// that are fully independent: every gate looks up the precomputed
-// reordering catalog of its cell (celllib::ReorderCatalog, cached in the
-// CellLibrary), scores all candidate configurations with the word-parallel
-// boolean kernel, and commits the best one. Gates are scored concurrently
-// on a small thread pool; results are deterministic regardless of thread
-// count (per-gate tie-breaking keeps enumeration order, the report is
-// assembled in GateId order and accumulated in topological order).
+// probabilities and transition densities, a table build in which every
+// gate looks up the precomputed reordering catalog of its cell
+// (celllib::ReorderCatalog, cached in the CellLibrary) and scores all
+// candidate configurations with the word-parallel boolean kernel, and one
+// greedy walk that commits a configuration per gate
+// (search::IncrementalScorer and search::greedy_seed, opt/search.hpp).
+// Gates are scored concurrently on a small thread pool; results are
+// deterministic regardless of thread count (per-gate tie-breaking keeps
+// enumeration order, the report is assembled in GateId order and
+// accumulated in topological order).
 //
-// Under a delay budget a gate's admissible set depends on its fan-in
-// gates' committed configurations, so budgeted runs take the one
-// sequential greedy walk of the table-driven search layer instead
-// (search::greedy_seed, opt/search.hpp). The pre-catalog per-candidate
-// graph-rebuild engine lives on only as the tests' oracle
-// (tests/oracle/); the parity suite asserts bit-identical reports.
+// Without a delay budget every choice is the gate's own optimum. A budget
+// only adds per-net arrival ceilings to the walk: a gate's admissible set
+// then depends on its fan-in gates' committed configurations. The
+// pre-catalog per-candidate graph-rebuild engine lives on only as the
+// tests' oracle (tests/oracle/); the parity suite asserts bit-identical
+// reports.
 
 #include <map>
 #include <optional>
@@ -70,8 +72,8 @@ struct OptimizeOptions {
   /// without increasing the delay of the circuit", distinct from
   /// nullopt (the default), which disables the constraint entirely.
   /// The value must be finite and >= 0 (enforced by optimize()).
-  /// Budgeted runs are sequential: a gate's admissible set depends on
-  /// its fan-in gates' committed configurations.
+  /// The walk checking the ceilings is sequential: a gate's admissible
+  /// set depends on its fan-in gates' committed configurations.
   std::optional<double> max_circuit_delay_increase;
 
   /// Paper conclusion (a): when true, only configurations realisable by
@@ -81,8 +83,8 @@ struct OptimizeOptions {
   /// library.
   bool restrict_to_instance = false;
 
-  /// Worker threads for the gate-parallel phase; 0 = one per hardware
-  /// thread, 1 = serial. Ignored by the sequential budgeted runs.
+  /// Worker threads for the gate-parallel scoring phase; 0 = one per
+  /// hardware thread (one shared pool), 1 = serial.
   int threads = 0;
 
   /// Cooperative cancellation, polled at gate granularity. A cancelled
@@ -112,8 +114,7 @@ struct OptimizeReport {
   int configs_rejected_by_delay = 0;
   /// Candidates skipped by the instance restriction (0 when disabled).
   int configs_rejected_by_instance = 0;
-  /// Gate-level worker threads the scoring phase actually used (1 for
-  /// the sequential budgeted runs).
+  /// Gate-level worker threads the scoring phase actually used.
   int threads_used = 1;
 };
 

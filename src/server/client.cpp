@@ -66,12 +66,14 @@ ClientResult run_request(
     // request and the server enforces it.
     const ReadResult r = read_frame(guard.fd, frame, kDefaultMaxFrameBytes);
     if (r != ReadResult::ok) {
-      // Every mid-stream read failure — EOF before the terminal frame,
-      // reset, torn header — means the daemon went away under us:
-      // classify as disconnect so a retrying caller tries again.
+      // Every other mid-stream read failure — EOF before the terminal
+      // frame, reset, torn header — means the daemon went away under us:
+      // classify as disconnect so a retrying caller tries again. An
+      // oversized frame is the daemon's answer; a retry would repeat it.
       throw Error("client: " + read_result_message(r, frame,
                                                    kDefaultMaxFrameBytes),
-                  ErrorCode::disconnect);
+                  r == ReadResult::oversized ? ErrorCode::parse
+                                             : ErrorCode::disconnect);
     }
     if (frame.type == kFrameProgress) {
       if (on_progress) on_progress(frame.payload);

@@ -65,6 +65,13 @@ ClientResult attempt_once(
                        std::to_string(static_cast<long long>(timeout_ms)) +
                        " ms (daemon hung or unreachable)");
     }
+    if (r == ReadResult::oversized) {
+      // The daemon answered with a frame over the limit: a deterministic
+      // answer that another attempt would only repeat.
+      throw Error("client: " + read_result_message(r, frame,
+                                                   kDefaultMaxFrameBytes),
+                  ErrorCode::parse);
+    }
     if (r != ReadResult::ok) {
       throw_disconnect(read_result_message(r, frame, kDefaultMaxFrameBytes));
     }

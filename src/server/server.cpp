@@ -36,13 +36,28 @@ opt::CircuitError wire_error(ErrorCode code, const std::string& message) {
 /// loop observes the flag and cancels the request.
 class SocketSink : public Sink {
 public:
-  explicit SocketSink(int fd) : fd_(fd) {}
+  SocketSink(int fd, std::size_t max_frame_bytes)
+      : fd_(fd), max_frame_bytes_(max_frame_bytes) {}
 
   void on_progress(const std::string& payload) override {
     send(kFrameProgress, payload);
   }
   void on_response(const std::string& payload) override {
-    send(kFrameResponse, payload);
+    // A client reading with the same frame limit would refuse the frame
+    // unread; rerunning the request cannot shrink it, so say why instead.
+    if (payload.size() > max_frame_bytes_) {
+      send(kFrameError,
+           render_error(wire_error(
+               ErrorCode::invalid_argument,
+               "wire: response of " + std::to_string(payload.size()) +
+                   " bytes exceeds the frame limit of " +
+                   std::to_string(max_frame_bytes_) +
+                   " bytes; request fewer circuits or drop the per-gate "
+                   "configurations (\"gate_configs\": false, tr_opt "
+                   "--no-gate-configs)")));
+    } else {
+      send(kFrameResponse, payload);
+    }
     done_.store(true);
   }
   void on_error(const std::string& payload) override {
@@ -63,6 +78,7 @@ private:
   }
 
   int fd_;
+  std::size_t max_frame_bytes_;
   std::mutex mutex_;  ///< serialises frames from executor vs monitor
   std::atomic<bool> done_{false};
   std::atomic<bool> dead_{false};
@@ -206,7 +222,7 @@ void Server::handle_connection(int fd) {
     return;
   }
 
-  const auto sink = std::make_shared<SocketSink>(fd);
+  const auto sink = std::make_shared<SocketSink>(fd, config_.max_frame_bytes);
   const util::CancellationToken token = service_.submit(frame.payload, sink);
 
   // Monitor until the terminal frame: watch the socket for disconnect

@@ -39,6 +39,8 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   int port = 0;
+  /// Payload cap of request frames read and of response frames sent; a
+  /// larger response is answered with a non-retryable error instead.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 

@@ -3,7 +3,8 @@
 // backoff, per-read timeouts against silent peers, retry-through of
 // injected daemon faults, immediate return of non-retryable errors, and
 // the request_id replay contract (at-most-once execution composed with
-// retry-until-success). In-process counterpart of chaos_soak.sh phase 2.
+// retry-until-success), and responses past the frame limit answered once,
+// without retries. In-process counterpart of chaos_soak.sh phase 2.
 
 #include <gtest/gtest.h>
 
@@ -217,6 +218,78 @@ TEST(RetryClient, NonRetryableErrorFrameReturnsWithoutRetrying) {
   const JsonValue* retryable = doc.find("retryable");
   ASSERT_NE(retryable, nullptr);
   EXPECT_FALSE(retryable->as_bool("retryable"));
+}
+
+TEST(RetryClient, OversizedResponseIsOneStructuredErrorWithoutRetries) {
+  // The classic report is far past this daemon's frame limit (the
+  // request is not): the daemon answers with a non-retryable error
+  // naming the size instead of a frame its clients would refuse, and the
+  // client takes exactly one attempt.
+  ServerConfig config;
+  config.max_frame_bytes = 1024;
+  TestServer daemon(config);
+  std::vector<RetryRecord> records;
+  const ClientResult result =
+      run_request_with_retry("127.0.0.1", daemon.port(),
+                             R"({"suite": "classic"})",
+                             fast_policy(3, 1, &records));
+  ASSERT_EQ(result.type, kFrameError);
+  EXPECT_TRUE(records.empty());
+  const JsonValue doc = util::json_parse(result.payload);
+  EXPECT_EQ(doc.find("code")->as_string("code"), "invalid_argument");
+  EXPECT_FALSE(doc.find("retryable")->as_bool("retryable"));
+  const std::string message = doc.find("message")->as_string("message");
+  EXPECT_NE(message.find("exceeds the frame limit of 1024 bytes"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("--no-gate-configs"), std::string::npos);
+}
+
+TEST(RetryClient, OversizedFrameHeaderIsNotRetried) {
+  // A peer that declares a frame past the client's limit: the client
+  // refuses it unread, and another attempt would get the same answer.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread peer([fd] {
+    const int conn = ::accept(fd, nullptr, nullptr);
+    if (conn < 0) return;
+    Frame request;
+    read_frame(conn, request, kDefaultMaxFrameBytes);
+    const std::uint32_t length = kDefaultMaxFrameBytes + 1;
+    const char header[5] = {static_cast<char>(length & 0xff),
+                            static_cast<char>((length >> 8) & 0xff),
+                            static_cast<char>((length >> 16) & 0xff),
+                            static_cast<char>((length >> 24) & 0xff),
+                            kFrameResponse};
+    ::send(conn, header, sizeof(header), MSG_NOSIGNAL);
+    ::close(conn);
+  });
+
+  std::vector<RetryRecord> records;
+  RetryPolicy policy = fast_policy(3, 1, &records);
+  policy.timeout_ms = 1000.0;
+  try {
+    run_request_with_retry("127.0.0.1", ntohs(addr.sin_port), kRequest,
+                           policy);
+    ADD_FAILURE() << "expected tr::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::parse);
+    EXPECT_NE(std::string(e.what()).find("exceeds limit"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(records.empty());
+  peer.join();
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 // Tests for the table-driven greedy walk (opt/search.hpp, DESIGN.md
 // Sec. 14):
 //
-//  * the scorer's construction-time arrivals are FIELD-EXACT against
-//    delay::circuit_delay on random SP netlists;
+//  * the delay tables' arrivals of the incoming netlist are FIELD-EXACT
+//    against delay::circuit_delay on random SP netlists;
 //  * greedy-seed parity — the table-driven greedy walk is bit-identical
 //    to the test oracle's reference engine (tests/oracle/), budgets or
 //    not;
 //  * the delay-budget option — std::optional semantics (unset vs a
-//    legitimate 0.0), validation, and the threads recording.
+//    legitimate 0.0) and validation — and the threads recording.
 
 #include <gtest/gtest.h>
 
@@ -67,10 +67,11 @@ TEST(IncrementalScorer, ConstructionMatchesCircuitDelayExactly) {
     const Netlist nl = testutil::random_sp_netlist(sp_lib, rng, 14);
     const IncrementalScorer scorer(nl, random_stats(nl, rng), tech,
                                    power::ModelKind::extended);
+    const std::vector<double> arrivals = search::delay_tables(scorer).arrivals;
     const delay::CircuitDelay timing = delay::circuit_delay(nl, tech);
-    ASSERT_EQ(scorer.arrivals().size(), timing.net_arrival.size());
+    ASSERT_EQ(arrivals.size(), timing.net_arrival.size());
     for (std::size_t i = 0; i < timing.net_arrival.size(); ++i) {
-      EXPECT_EQ(scorer.arrivals()[i], timing.net_arrival[i]);
+      EXPECT_EQ(arrivals[i], timing.net_arrival[i]);
     }
   }
 }
@@ -156,9 +157,9 @@ TEST(GreedySeed, BitIdenticalToEngineDecisionsAcrossOptionSweep) {
 }
 
 TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
-  // Unset must run the parallel catalog pass with no rejections; 0.0 is
-  // a legitimate zero-slack budget (the sequential greedy walk); invalid
-  // values throw instead of silently toggling.
+  // Unset must run the greedy walk with no arrival ceilings and so no
+  // rejections; 0.0 is a legitimate zero-slack budget; invalid values
+  // throw instead of silently toggling.
   const Tech tech;
   const auto run = [&](OptimizeOptions options) {
     Netlist nl = benchgen::ripple_carry_adder(lib(), 6);
@@ -173,7 +174,8 @@ TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
   OptimizeOptions zero;
   zero.max_circuit_delay_increase = 0.0;
   const OptimizeReport constrained = run(zero);
-  EXPECT_EQ(constrained.threads_used, 1);
+  // Both runs build their tables on the same shared pool.
+  EXPECT_EQ(constrained.threads_used, unconstrained.threads_used);
   // A zero-slack budget constrains for real on this circuit.
   EXPECT_GE(constrained.model_power_after, unconstrained.model_power_after);
 
@@ -186,26 +188,28 @@ TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
   EXPECT_THROW(run(infinite), Error);
 }
 
-// Checks the threads_used recording only. With one engine left the
-// report carries no engine to check; the test keeps its name.
-TEST(EngineRecording, ReportsTheEngineAndThreadsActuallyUsed) {
+TEST(ThreadRecording, ReportsThreadsActuallyUsed) {
   const Tech tech;
   const Netlist original = benchgen::ripple_carry_adder(lib(), 4);
   const auto stats = uniform_stats(original, 0.5, 3e5);
 
-  OptimizeOptions catalog2;
-  catalog2.threads = 2;
+  OptimizeOptions two;
+  two.threads = 2;
   Netlist a = original;
-  const OptimizeReport rc = optimize(a, stats, tech, catalog2);
-  EXPECT_EQ(rc.threads_used, 2);
+  const OptimizeReport unbudgeted = optimize(a, stats, tech, two);
+  EXPECT_EQ(unbudgeted.threads_used, 2);
 
-  // A delay-budgeted request walks the gates sequentially whatever
-  // thread count was asked for, and the report says so.
-  OptimizeOptions budgeted = catalog2;
+  // A delay budget only adds ceilings to the walk; its tables are built
+  // on the same pool, and the report says so.
+  OptimizeOptions budgeted = two;
   budgeted.max_circuit_delay_increase = 0.0;
   Netlist b = original;
-  const OptimizeReport rb = optimize(b, stats, tech, budgeted);
-  EXPECT_EQ(rb.threads_used, 1);
+  EXPECT_EQ(optimize(b, stats, tech, budgeted).threads_used, 2);
+
+  OptimizeOptions serial = budgeted;
+  serial.threads = 1;
+  Netlist c = original;
+  EXPECT_EQ(optimize(c, stats, tech, serial).threads_used, 1);
 }
 
 }  // namespace
