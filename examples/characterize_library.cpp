@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       celllib::write_liberty(library, tech, std::cout, options);
     } else {
       std::ofstream out(out_path);
-      require(out.good(), "cannot open '" + out_path + "'");
+      require(out.good(), "cannot open '", out_path, "'");
       celllib::write_liberty(library, tech, out, options);
       std::cout << "library written to " << out_path << " ("
                 << library.size() << " cells)\n";

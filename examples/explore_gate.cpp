@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     if (argc > 2 + pin) {
       const std::string arg = argv[2 + pin];
       const auto colon = arg.find(':');
-      require(colon != std::string::npos, "expected P:D, got '" + arg + "'");
+      require(colon != std::string::npos, "expected P:D, got '", arg, "'");
       s.prob = std::stod(arg.substr(0, colon));
       s.density = std::stod(arg.substr(colon + 1));
     }

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     std::map<netlist::NetId, boolfn::SignalStats> pi_stats;
     if (!activity_path.empty()) {
       std::ifstream act(activity_path);
-      require(act.good(), "cannot open activity file '" + activity_path + "'");
+      require(act.good(), "cannot open activity file '", activity_path, "'");
       pi_stats = netlist::read_activity(nl, act, activity_path);
     } else {
       pi_stats = scenario == "B" ? opt::scenario_b(nl)
@@ -123,19 +123,19 @@ int main(int argc, char** argv) {
 
     if (!out_path.empty()) {
       std::ofstream out(out_path);
-      require(out.good(), "cannot open output file '" + out_path + "'");
+      require(out.good(), "cannot open output file '", out_path, "'");
       netlist::write_blif(nl, out);
       // BLIF cannot carry transistor orderings; the sidecar restores them
       // (netlist::read_config_sidecar) after re-reading the BLIF.
       std::ofstream cfg(out_path + ".cfg");
-      require(cfg.good(), "cannot open sidecar '" + out_path + ".cfg'");
+      require(cfg.good(), "cannot open sidecar '", out_path, ".cfg'");
       netlist::write_config_sidecar(nl, cfg);
       std::cout << "  optimized netlist written to " << out_path
                 << " (+ configuration sidecar " << out_path << ".cfg)\n";
     }
     if (!verilog_path.empty()) {
       std::ofstream v(verilog_path);
-      require(v.good(), "cannot open Verilog file '" + verilog_path + "'");
+      require(v.good(), "cannot open Verilog file '", verilog_path, "'");
       netlist::write_verilog(nl, v);
       std::cout << "  structural Verilog written to " << verilog_path << "\n";
     }

@@ -98,8 +98,7 @@ std::vector<std::string> classic_names() {
 
 const std::string& classic_blif(const std::string& name) {
   const auto it = registry().find(name);
-  require(it != registry().end(),
-          "classic_blif: unknown circuit '" + name + "'");
+  require(it != registry().end(), "classic_blif: unknown circuit '", name, "'");
   return it->second;
 }
 

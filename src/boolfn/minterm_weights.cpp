@@ -43,9 +43,8 @@ void MintermWeights::assign(const std::vector<double>& probs) {
 }
 
 double MintermWeights::sum(const TruthTable& f) const {
-  require(f.var_count() == var_count_,
-          "MintermWeights::sum: expected " + std::to_string(var_count_) +
-              " variables, got " + std::to_string(f.var_count()));
+  require(f.var_count() == var_count_, "MintermWeights::sum: expected ",
+          var_count_, " variables, got ", f.var_count());
   const std::vector<std::uint64_t>& words = f.words();
   double total = 0.0;
   for (std::size_t wi = 0; wi < words.size(); ++wi) {

@@ -17,8 +17,8 @@ constexpr std::uint64_t kVarPattern[6] = {
 
 TruthTable::TruthTable(int var_count) : var_count_(var_count) {
   require(var_count >= 0 && var_count <= max_vars,
-          "TruthTable: var_count out of range [0, " +
-              std::to_string(max_vars) + "]: " + std::to_string(var_count));
+          "TruthTable: var_count out of range [0, ", max_vars, "]: ",
+          var_count);
   words_.assign(word_count(), 0);
 }
 
@@ -32,9 +32,8 @@ TruthTable TruthTable::one(int var_count) {
 }
 
 TruthTable TruthTable::variable(int var_count, int var) {
-  require(var >= 0 && var < var_count,
-          "TruthTable::variable: index " + std::to_string(var) +
-              " out of range for " + std::to_string(var_count) + " variables");
+  require(var >= 0 && var < var_count, "TruthTable::variable: index ", var,
+          " out of range for ", var_count, " variables");
   TruthTable t(var_count);
   if (var >= 6) {
     // Whole words alternate in blocks of 2^(var-6).
@@ -56,10 +55,8 @@ TruthTable TruthTable::variable(int var_count, int var) {
 
 TruthTable TruthTable::from_bits(int var_count, const std::vector<bool>& bits) {
   TruthTable t(var_count);
-  require(bits.size() == t.minterm_count(),
-          "TruthTable::from_bits: expected " +
-              std::to_string(t.minterm_count()) + " bits, got " +
-              std::to_string(bits.size()));
+  require(bits.size() == t.minterm_count(), "TruthTable::from_bits: expected ",
+          t.minterm_count(), " bits, got ", bits.size());
   for (std::uint64_t m = 0; m < bits.size(); ++m) {
     if (bits[m]) t.words_[m >> 6] |= 1ULL << (m & 63);
   }
@@ -71,9 +68,8 @@ TruthTable TruthTable::from_cubes(int var_count,
   TruthTable result(var_count);
   for (const std::string& cube : cubes) {
     require(static_cast<int>(cube.size()) == var_count,
-            "TruthTable::from_cubes: cube '" + cube + "' has " +
-                std::to_string(cube.size()) + " literals, expected " +
-                std::to_string(var_count));
+            "TruthTable::from_cubes: cube '", cube, "' has ", cube.size(),
+            " literals, expected ", var_count);
     TruthTable term = one(var_count);
     for (int j = 0; j < var_count; ++j) {
       switch (cube[static_cast<std::size_t>(j)]) {
@@ -313,9 +309,8 @@ TruthTable TruthTable::compacted(const std::vector<int>& support) const {
   for (int j = 0; j < var_count_; ++j) {
     bool kept = false;
     for (int v : support) kept = kept || v == j;
-    require(kept || !depends_on(j),
-            "TruthTable::compacted: dropped variable " + std::to_string(j) +
-                " is not vacuous");
+    require(kept || !depends_on(j), "TruthTable::compacted: dropped variable ",
+            j, " is not vacuous");
   }
   TruthTable t(static_cast<int>(support.size()));
   const std::uint64_t n = t.minterm_count();
@@ -331,8 +326,8 @@ TruthTable TruthTable::compacted(const std::vector<int>& support) const {
 
 double TruthTable::probability(const std::vector<double>& probs) const {
   require(static_cast<int>(probs.size()) == var_count_,
-          "TruthTable::probability: expected " + std::to_string(var_count_) +
-              " probabilities, got " + std::to_string(probs.size()));
+          "TruthTable::probability: expected ", var_count_,
+          " probabilities, got ", probs.size());
   return MintermWeights(probs).sum(*this);
 }
 

@@ -1,6 +1,9 @@
 #include "celllib/catalog.hpp"
 
+#include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "gategraph/gate_graph.hpp"
@@ -15,18 +18,6 @@ using gategraph::GateTopology;
 
 namespace {
 
-/// Fills dh/dg from the node's h/g tables. Derived configurations run the
-/// same code as representatives so their tables are bit-identical to what
-/// the reference scorer computes on the fly.
-void fill_differences(CatalogNode& node, int input_count) {
-  node.dh.reserve(static_cast<std::size_t>(input_count));
-  node.dg.reserve(static_cast<std::size_t>(input_count));
-  for (int i = 0; i < input_count; ++i) {
-    node.dh.push_back(node.h.boolean_difference(i));
-    node.dg.push_back(node.g.boolean_difference(i));
-  }
-}
-
 /// Model node order: internal nodes ascending, output last (the order
 /// power::evaluate_gate_power sums node powers in).
 std::vector<int> model_node_order(int internal_count) {
@@ -40,29 +31,32 @@ std::vector<int> model_node_order(int internal_count) {
 }
 
 /// Characterises a configuration directly: graph construction + path DFS.
-void characterize(CatalogConfig& entry, int input_count, int internal_count) {
-  const GateGraph graph(entry.topology);
+/// Returns its nodes in model node order, without boolean differences.
+std::vector<CatalogNode> characterize(const GateTopology& topology,
+                                      int internal_count) {
+  const GateGraph graph(topology);
   const std::vector<int> terminals = graph.terminal_counts();
-  entry.nodes.clear();
-  entry.nodes.reserve(static_cast<std::size_t>(internal_count) + 1);
+  std::vector<CatalogNode> nodes;
   for (int node : model_node_order(internal_count)) {
-    CatalogNode cn;
-    cn.node = node;
-    cn.terminal_count = terminals[static_cast<std::size_t>(node)];
-    cn.h = graph.h_function(node);
-    cn.g = graph.g_function(node);
-    fill_differences(cn, input_count);
-    entry.nodes.push_back(std::move(cn));
+    nodes.push_back(
+        {.terminal_count = terminals[static_cast<std::size_t>(node)],
+         .is_output = node == GateGraph::output_node,
+         .h = graph.h_function(node),
+         .g = graph.g_function(node),
+         .dh = {},
+         .dg = {}});
   }
+  return nodes;
 }
 
-/// Derives a configuration's tables from its instance representative by
-/// variable permutation and node remapping — no graph rebuild.
-void derive(CatalogConfig& entry, const CatalogConfig& rep,
-            const gategraph::ConfigIsomorphism& iso, int input_count,
-            int internal_count) {
-  entry.nodes.clear();
-  entry.nodes.reserve(static_cast<std::size_t>(internal_count) + 1);
+/// Derives a configuration's nodes from its instance representative's
+/// pool nodes by variable permutation and node remapping — no graph
+/// rebuild. Same order and contents as characterize().
+std::vector<CatalogNode> derive(const CatalogConfig& rep,
+                                const std::vector<CatalogNode>& pool,
+                                const gategraph::ConfigIsomorphism& iso,
+                                int internal_count) {
+  std::vector<CatalogNode> nodes;
   for (int node : model_node_order(internal_count)) {
     const int rep_node = iso.node_remap[static_cast<std::size_t>(node)];
     // Representative storage position for a graph node id (internal nodes
@@ -71,29 +65,31 @@ void derive(CatalogConfig& entry, const CatalogConfig& rep,
         rep_node == GateGraph::output_node
             ? static_cast<std::size_t>(internal_count)
             : static_cast<std::size_t>(rep_node - GateGraph::first_internal_node);
-    const CatalogNode& src = rep.nodes[rep_pos];
-    CatalogNode cn;
-    cn.node = node;
-    cn.terminal_count = src.terminal_count;
-    cn.h = src.h.permute_vars(iso.var_perm);
-    cn.g = src.g.permute_vars(iso.var_perm);
-    fill_differences(cn, input_count);
-    entry.nodes.push_back(std::move(cn));
+    const CatalogNode& src = pool[static_cast<std::size_t>(rep.nodes[rep_pos])];
+    nodes.push_back({.terminal_count = src.terminal_count,
+                     .is_output = node == GateGraph::output_node,
+                     .h = src.h.permute_vars(iso.var_perm),
+                     .g = src.g.permute_vars(iso.var_perm),
+                     .dh = {},
+                     .dg = {}});
   }
+  return nodes;
 }
 
 /// Build-time sanity: the output node's path functions have closed forms
 /// (H_y = pull-up conduction, G_y = pull-down conduction) and no node may
 /// see both rails at once in a complementary gate. Internal-node tables
 /// are covered by the parity test suite.
-void verify(const CatalogConfig& entry, int input_count) {
+void verify(const CatalogConfig& entry, const std::vector<CatalogNode>& pool,
+            int input_count) {
   const TruthTable up = gategraph::conduction_function(
       entry.topology.pmos(), gategraph::DeviceType::pmos, input_count);
   const TruthTable down = gategraph::conduction_function(
       entry.topology.nmos(), gategraph::DeviceType::nmos, input_count);
-  TR_ASSERT(entry.nodes.back().h == up);
-  TR_ASSERT(entry.nodes.back().g == down);
-  for (const CatalogNode& node : entry.nodes) {
+  TR_ASSERT(pool[static_cast<std::size_t>(entry.nodes.back())].h == up);
+  TR_ASSERT(pool[static_cast<std::size_t>(entry.nodes.back())].g == down);
+  for (int index : entry.nodes) {
+    const CatalogNode& node = pool[static_cast<std::size_t>(index)];
     TR_ASSERT((node.h & node.g).is_zero());
   }
 }
@@ -111,30 +107,52 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
   // Instance representatives seen so far: (config index, instance key).
   std::vector<std::pair<int, std::string>> reps;
   std::string first_key;
+  // Pool index of each distinct node. Every table of a catalog has
+  // input_count variables, so the words identify it.
+  std::map<std::tuple<std::vector<std::uint64_t>, std::vector<std::uint64_t>,
+                      int, bool>,
+           int>
+      pool_index;
   for (GateTopology& topology : orderings) {
     CatalogConfig entry(std::move(topology));
     const std::string key = entry.topology.instance_key();
     if (catalog.configs_.empty()) first_key = key;
     entry.same_instance_as_first = key == first_key;
 
-    bool derived = false;
+    std::vector<CatalogNode> nodes;
     for (const auto& [rep_index, rep_key] : reps) {
       if (rep_key != key) continue;
       const CatalogConfig& rep =
           catalog.configs_[static_cast<std::size_t>(rep_index)];
       const auto iso = find_isomorphism(rep.topology, entry.topology);
       if (!iso) continue;  // fall through to direct characterisation
-      derive(entry, rep, *iso, catalog.input_count_,
-             catalog.internal_node_count_);
-      derived = true;
+      nodes = derive(rep, catalog.nodes_, *iso, catalog.internal_node_count_);
       break;
     }
-    if (!derived) {
-      characterize(entry, catalog.input_count_, catalog.internal_node_count_);
+    if (nodes.empty()) {
+      nodes = characterize(entry.topology, catalog.internal_node_count_);
       reps.emplace_back(static_cast<int>(catalog.configs_.size()), key);
       ++catalog.characterized_;
     }
-    verify(entry, catalog.input_count_);
+
+    // Intern the nodes. A new one gets its boolean differences here, by
+    // the same code for characterised and derived nodes, so its tables are
+    // bit-identical to what the reference scorer computes on the fly.
+    for (CatalogNode& node : nodes) {
+      const auto [it, added] = pool_index.try_emplace(
+          std::tuple{node.h.words(), node.g.words(), node.terminal_count,
+                     node.is_output},
+          static_cast<int>(catalog.nodes_.size()));
+      if (added) {
+        for (int i = 0; i < catalog.input_count_; ++i) {
+          node.dh.push_back(node.h.boolean_difference(i));
+          node.dg.push_back(node.g.boolean_difference(i));
+        }
+        catalog.nodes_.push_back(std::move(node));
+      }
+      entry.nodes.push_back(it->second);
+    }
+    verify(entry, catalog.nodes_, catalog.input_count_);
     catalog.configs_.push_back(std::move(entry));
   }
   return catalog;

@@ -14,6 +14,14 @@
 // representative (paper Sec. 5.1), so no graph is ever rebuilt per
 // candidate.
 //
+// The same permutation symmetry makes the per-node data repeat across
+// configurations (aoi222: 288 configuration nodes, 13 distinct), so a
+// catalog keeps one pool of distinct nodes, keyed by (H, G, terminal
+// count, is-output), and each configuration lists pool indices. A node's
+// model power is a pure function of that key, the input statistics and
+// the load, so the scorer evaluates each pool node once per gate and
+// gathers the sums per configuration (opt::score_catalog).
+//
 // Catalogs contain no technology constants and no input statistics, so
 // one catalog serves every gate of a netlist that instantiates the same
 // cell in the same configuration; CellLibrary caches them by the
@@ -30,10 +38,10 @@
 
 namespace tr::celllib {
 
-/// Precomputed model inputs for one node of one configuration.
+/// Precomputed model inputs for one distinct node of a catalog.
 struct CatalogNode {
-  int node = -1;           ///< GateGraph node id in this configuration
   int terminal_count = 0;  ///< diffusion terminals (C = c_diff * count)
+  bool is_output = false;  ///< the gate output (adds the external load)
   boolfn::TruthTable h;    ///< paths to vdd
   boolfn::TruthTable g;    ///< paths to vss
   std::vector<boolfn::TruthTable> dh;  ///< dH/dx_i per gate input i
@@ -50,9 +58,10 @@ struct CatalogConfig {
   /// layout instance as the catalog's starting configuration (equal
   /// instance keys) — precomputed for OptimizeOptions::restrict_to_instance.
   bool same_instance_as_first = true;
-  /// Internal nodes in ascending GateGraph id order, then the output node
-  /// last — the exact node order evaluate_gate_power sums in.
-  std::vector<CatalogNode> nodes;
+  /// Pool indices (ReorderCatalog::nodes()) of the internal nodes in
+  /// ascending GateGraph id order, then the output node last — the exact
+  /// node order evaluate_gate_power sums in.
+  std::vector<int> nodes;
 };
 
 class ReorderCatalog {
@@ -71,6 +80,8 @@ public:
   /// configs().size() - characterized_instances() entries were derived by
   /// variable permutation.
   int characterized_instances() const noexcept { return characterized_; }
+  /// The distinct nodes of all configurations, in first-seen order.
+  const std::vector<CatalogNode>& nodes() const noexcept { return nodes_; }
 
 private:
   ReorderCatalog() = default;
@@ -79,6 +90,7 @@ private:
   int internal_node_count_ = 0;
   int characterized_ = 0;
   std::vector<CatalogConfig> configs_;
+  std::vector<CatalogNode> nodes_;
 };
 
 }  // namespace tr::celllib

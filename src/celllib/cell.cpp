@@ -15,20 +15,23 @@ Cell::Cell(std::string name, std::vector<std::string> pin_names,
   require(!pin_names_.empty(), "Cell: a cell needs at least one pin");
   // Every pin must actually drive a device pair.
   for (int j = 0; j < input_count(); ++j) {
-    require(function_.depends_on(j) || input_count() == 1,
-            "Cell " + name_ + ": pin " + pin_names_[static_cast<std::size_t>(j)] +
-                " does not affect the output");
+    require(function_.depends_on(j) || input_count() == 1, "Cell ", name_,
+            ": pin ", pin_names_[static_cast<std::size_t>(j)],
+            " does not affect the output");
+  }
+  // Reordering moves devices but never changes how many a pin drives, so
+  // the canonical configuration's counts hold for every configuration.
+  const gategraph::GateGraph graph(topology_);
+  pin_devices_.assign(pin_names_.size(), 0);
+  for (const auto& t : graph.transistors()) {
+    ++pin_devices_[static_cast<std::size_t>(t.input)];
   }
 }
 
 double Cell::pin_capacitance(const Tech& tech, int pin) const {
   require(pin >= 0 && pin < input_count(), "Cell::pin_capacitance: bad pin");
-  int devices = 0;
-  const gategraph::GateGraph graph(topology_);
-  for (const auto& t : graph.transistors()) {
-    if (t.input == pin) ++devices;
-  }
-  return tech.c_gate * static_cast<double>(devices);
+  return tech.c_gate *
+         static_cast<double>(pin_devices_[static_cast<std::size_t>(pin)]);
 }
 
 int Cell::instance_count() const {

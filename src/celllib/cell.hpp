@@ -37,7 +37,8 @@ public:
   double area() const { return static_cast<double>(transistor_count()); }
 
   /// Input pin capacitance: every pin drives one NMOS and one PMOS gate
-  /// terminal per device pair connected to it.
+  /// terminal per device pair connected to it (counted once, at
+  /// construction).
   double pin_capacitance(const Tech& tech, int pin) const;
 
   /// Distinct transistor reorderings (Table 2 #C).
@@ -55,6 +56,7 @@ private:
   std::vector<std::string> pin_names_;
   gategraph::GateTopology topology_;
   boolfn::TruthTable function_;
+  std::vector<int> pin_devices_;  ///< transistors gated by each pin
 };
 
 /// Capacitance of one node from its diffusion terminal count; the output

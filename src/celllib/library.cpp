@@ -155,8 +155,8 @@ std::size_t CellLibrary::cached_catalog_count() const {
 }
 
 void CellLibrary::add(Cell cell) {
-  require(!cells_.contains(cell.name()),
-          "CellLibrary: duplicate cell name '" + cell.name() + "'");
+  require(!cells_.contains(cell.name()), "CellLibrary: duplicate cell name '",
+          cell.name(), "'");
   insertion_order_.push_back(cell.name());
   cells_.emplace(cell.name(), std::move(cell));
 }
@@ -167,7 +167,7 @@ bool CellLibrary::contains(const std::string& name) const {
 
 const Cell& CellLibrary::cell(const std::string& name) const {
   const auto it = cells_.find(name);
-  require(it != cells_.end(), "CellLibrary: unknown cell '" + name + "'");
+  require(it != cells_.end(), "CellLibrary: unknown cell '", name, "'");
   return it->second;
 }
 

@@ -63,9 +63,8 @@ bool pivot_rec(SpNode& node, int& remaining) {
 
 GateTopology GateTopology::pivoted(int gap_index) const {
   require(gap_index >= 0 && gap_index < internal_node_count(),
-          "GateTopology::pivoted: gap index " + std::to_string(gap_index) +
-              " out of range [0, " + std::to_string(internal_node_count()) +
-              ")");
+          "GateTopology::pivoted: gap index ", gap_index, " out of range [0, ",
+          internal_node_count(), ")");
   GateTopology next(*this);
   int remaining = gap_index;
   if (!pivot_rec(next.nmos_, remaining)) {

@@ -16,8 +16,8 @@ public:
   SpNode parse() {
     SpNode node = parse_tree();
     require(pos_ == text_.size(),
-            "parse_sp_tree: trailing characters after tree: '" +
-                std::string(text_.substr(pos_)) + "'");
+            "parse_sp_tree: trailing characters after tree: '",
+            text_.substr(pos_), "'");
     return node;
   }
 
@@ -89,8 +89,7 @@ SpNode parse_sp_tree(std::string_view text) { return Parser(text).parse(); }
 GateTopology topology_from_key(std::string_view key, int input_count) {
   const std::size_t bar = key.find('|');
   require(bar != std::string_view::npos,
-          "topology_from_key: key must be '<nmos>|<pmos>', got '" +
-              std::string(key) + "'");
+          "topology_from_key: key must be '<nmos>|<pmos>', got '", key, "'");
   SpNode nmos = parse_sp_tree(key.substr(0, bar));
   SpNode pmos = parse_sp_tree(key.substr(bar + 1));
   return GateTopology(std::move(nmos), std::move(pmos), input_count);

@@ -46,8 +46,8 @@ public:
 private:
   NetId resolve(const std::string& name) const {
     const auto it = signal_net_.find(name);
-    require(it != signal_net_.end(),
-            "mapper: signal '" + name + "' has no mapped net");
+    require(it != signal_net_.end(), "mapper: signal '", name,
+            "' has no mapped net");
     return it->second;
   }
 
@@ -100,10 +100,9 @@ private:
 
   void map_node(const LogicNode& node) {
     const std::vector<int> support = node.function.support();
-    require(!support.empty(),
-            "mapper: node '" + node.name +
-                "' is constant; constant sources are not supported by the "
-                "combinational power flow");
+    require(!support.empty(), "mapper: node '", node.name,
+            "' is constant; constant sources are not supported by the "
+            "combinational power flow");
     const TruthTable f = node.function.compacted(support);
     std::vector<NetId> fanin_nets;
     fanin_nets.reserve(support.size());

@@ -65,9 +65,9 @@ std::map<NetId, boolfn::SignalStats> read_activity(
     }
   }
   for (NetId id : netlist.primary_inputs()) {
-    require(stats.contains(id),
-            source_name + ": missing activity for primary input '" +
-                netlist.net(id).name + "'");
+    require(stats.contains(id), source_name,
+            ": missing activity for primary input '", netlist.net(id).name,
+            "'");
   }
   return stats;
 }

@@ -180,7 +180,7 @@ LogicNetwork read_blif_logic_string(const std::string& text,
 
 LogicNetwork read_blif_logic_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "cannot open BLIF file '" + path + "'");
+  require(in.good(), "cannot open BLIF file '", path, "'");
   return read_blif_logic(in, path);
 }
 
@@ -250,7 +250,7 @@ Netlist read_blif_mapped(std::istream& in, const celllib::CellLibrary& library,
 
   for (const std::string& name : header.outputs) {
     const NetId net = netlist.find_net(name);
-    require(net >= 0, source + ": primary output '" + name + "' is undriven");
+    require(net >= 0, source, ": primary output '", name, "' is undriven");
     netlist.mark_primary_output(net);
   }
   netlist.validate();

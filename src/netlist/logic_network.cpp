@@ -10,7 +10,7 @@ namespace tr::netlist {
 void LogicNetwork::add_input(const std::string& name) {
   require(!name.empty(), "LogicNetwork::add_input: empty name");
   require(!is_input(name) && node_index(name) < 0,
-          "LogicNetwork::add_input: duplicate signal '" + name + "'");
+          "LogicNetwork::add_input: duplicate signal '", name, "'");
   inputs_.push_back(name);
 }
 
@@ -22,10 +22,10 @@ void LogicNetwork::add_output(const std::string& name) {
 void LogicNetwork::add_node(LogicNode node) {
   require(!node.name.empty(), "LogicNetwork::add_node: empty node name");
   require(!is_input(node.name) && node_index(node.name) < 0,
-          "LogicNetwork::add_node: duplicate signal '" + node.name + "'");
+          "LogicNetwork::add_node: duplicate signal '", node.name, "'");
   require(static_cast<int>(node.fanins.size()) == node.function.var_count(),
-          "LogicNetwork::add_node: '" + node.name +
-              "' fanin arity does not match its function");
+          "LogicNetwork::add_node: '", node.name,
+          "' fanin arity does not match its function");
   nodes_.push_back(std::move(node));
 }
 
@@ -49,9 +49,8 @@ std::vector<int> LogicNetwork::topological_nodes() const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     for (const std::string& fanin : nodes_[i].fanins) {
       if (is_input(fanin)) continue;
-      require(node_index(fanin) >= 0, "LogicNetwork: fanin '" + fanin +
-                                          "' of node '" + nodes_[i].name +
-                                          "' is not driven");
+      require(node_index(fanin) >= 0, "LogicNetwork: fanin '", fanin,
+              "' of node '", nodes_[i].name, "' is not driven");
       ++pending[i];
       waiters[fanin].push_back(static_cast<int>(i));
     }
@@ -80,12 +79,12 @@ void LogicNetwork::validate() const {
   std::set<std::string> names(inputs_.begin(), inputs_.end());
   require(names.size() == inputs_.size(), "LogicNetwork: duplicate inputs");
   for (const LogicNode& n : nodes_) {
-    require(names.insert(n.name).second,
-            "LogicNetwork: duplicate signal '" + n.name + "'");
+    require(names.insert(n.name).second, "LogicNetwork: duplicate signal '",
+            n.name, "'");
   }
   for (const std::string& out : outputs_) {
-    require(names.contains(out),
-            "LogicNetwork: output '" + out + "' is not driven");
+    require(names.contains(out), "LogicNetwork: output '", out,
+            "' is not driven");
   }
   (void)topological_nodes();
 }
@@ -103,8 +102,8 @@ std::vector<bool> LogicNetwork::evaluate(
     std::uint64_t minterm = 0;
     for (std::size_t j = 0; j < node.fanins.size(); ++j) {
       const auto it = values.find(node.fanins[j]);
-      require(it != values.end(), "LogicNetwork::evaluate: undriven fanin '" +
-                                      node.fanins[j] + "'");
+      require(it != values.end(), "LogicNetwork::evaluate: undriven fanin '",
+              node.fanins[j], "'");
       if (it->second) minterm |= 1ULL << j;
     }
     values[node.name] = node.function.value_at(minterm);
@@ -113,8 +112,8 @@ std::vector<bool> LogicNetwork::evaluate(
   out.reserve(outputs_.size());
   for (const std::string& name : outputs_) {
     const auto it = values.find(name);
-    require(it != values.end(),
-            "LogicNetwork::evaluate: output '" + name + "' undriven");
+    require(it != values.end(), "LogicNetwork::evaluate: output '", name,
+            "' undriven");
     out.push_back(it->second);
   }
   return out;

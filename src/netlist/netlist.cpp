@@ -11,8 +11,8 @@ Netlist::Netlist(const celllib::CellLibrary& library, std::string name)
 
 NetId Netlist::add_net(const std::string& net_name) {
   require(!net_name.empty(), "Netlist::add_net: empty net name");
-  require(!net_index_.contains(net_name),
-          "Netlist::add_net: duplicate net '" + net_name + "'");
+  require(!net_index_.contains(net_name), "Netlist::add_net: duplicate net '",
+          net_name, "'");
   const NetId id = static_cast<NetId>(nets_.size());
   Net n;
   n.name = net_name;
@@ -33,9 +33,9 @@ NetId Netlist::ensure_net(const std::string& net_name) {
 
 void Netlist::mark_primary_input(NetId id) {
   require(id >= 0 && id < net_count(), "Netlist: bad net id");
-  require(nets_[static_cast<std::size_t>(id)].driver < 0,
-          "Netlist: net '" + nets_[static_cast<std::size_t>(id)].name +
-              "' cannot be a primary input, it has a driver");
+  require(nets_[static_cast<std::size_t>(id)].driver < 0, "Netlist: net '",
+          nets_[static_cast<std::size_t>(id)].name,
+          "' cannot be a primary input, it has a driver");
   nets_[static_cast<std::size_t>(id)].is_primary_input = true;
 }
 
@@ -49,18 +49,17 @@ GateId Netlist::add_gate(const std::string& instance_name,
                          std::vector<NetId> inputs, NetId output) {
   const celllib::Cell& cell = library_->cell(cell_name);
   require(static_cast<int>(inputs.size()) == cell.input_count(),
-          "Netlist::add_gate: '" + instance_name + "' binds " +
-              std::to_string(inputs.size()) + " pins, cell " + cell_name +
-              " has " + std::to_string(cell.input_count()));
+          "Netlist::add_gate: '", instance_name, "' binds ", inputs.size(),
+          " pins, cell ", cell_name, " has ", cell.input_count());
   require(output >= 0 && output < net_count(),
           "Netlist::add_gate: bad output net");
   Net& out = nets_[static_cast<std::size_t>(output)];
-  require(out.driver < 0 && !out.is_primary_input,
-          "Netlist::add_gate: net '" + out.name + "' already driven");
+  require(out.driver < 0 && !out.is_primary_input, "Netlist::add_gate: net '",
+          out.name, "' already driven");
   for (NetId in : inputs) {
     require(in >= 0 && in < net_count(), "Netlist::add_gate: bad input net");
-    require(in != output,
-            "Netlist::add_gate: '" + instance_name + "' drives its own input");
+    require(in != output, "Netlist::add_gate: '", instance_name,
+            "' drives its own input");
   }
 
   const GateId id = static_cast<GateId>(gates_.size());
@@ -105,8 +104,8 @@ void Netlist::set_config(GateId id, gategraph::GateTopology config) {
   require(id >= 0 && id < gate_count(), "Netlist::set_config: bad id");
   GateInst& inst = gates_[static_cast<std::size_t>(id)];
   require(config.output_function() == inst.config.output_function(),
-          "Netlist::set_config: configuration changes the logic function of '" +
-              inst.name + "'");
+          "Netlist::set_config: configuration changes the logic function "
+          "of '", inst.name, "'");
   inst.config = std::move(config);
 }
 
@@ -181,10 +180,10 @@ std::vector<bool> Netlist::evaluate(const std::vector<bool>& pi_values) const {
 void Netlist::validate() const {
   require(!nets_.empty(), "Netlist: no nets");
   for (const Net& n : nets_) {
-    require(n.is_primary_input || n.driver >= 0,
-            "Netlist: net '" + n.name + "' has no driver and is not a PI");
-    require(!(n.is_primary_input && n.driver >= 0),
-            "Netlist: PI net '" + n.name + "' has a driver");
+    require(n.is_primary_input || n.driver >= 0, "Netlist: net '", n.name,
+            "' has no driver and is not a PI");
+    require(!(n.is_primary_input && n.driver >= 0), "Netlist: PI net '", n.name,
+            "' has a driver");
   }
   bool has_po = false;
   for (const Net& n : nets_) has_po = has_po || n.is_primary_output;
@@ -192,7 +191,7 @@ void Netlist::validate() const {
   for (const GateInst& g : gates_) {
     const celllib::Cell& cell = library_->cell(g.cell);
     require(static_cast<int>(g.inputs.size()) == cell.input_count(),
-            "Netlist: gate '" + g.name + "' pin arity mismatch");
+            "Netlist: gate '", g.name, "' pin arity mismatch");
   }
   (void)topological_order();  // throws on cycles
 }

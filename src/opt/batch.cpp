@@ -54,11 +54,11 @@ BatchOptimizer::BatchOptimizer(const celllib::CellLibrary& library,
 
 BatchReport BatchOptimizer::run(std::vector<BatchCircuit>& batch) const {
   for (const BatchCircuit& circuit : batch) {
-    require(&circuit.netlist.library() == library_,
-            "BatchOptimizer: circuit '" + circuit.name +
-                "' references a different CellLibrary than the shared one; "
-                "cross-circuit catalog sharing requires one library "
-                "instance for the whole batch");
+    require(&circuit.netlist.library() == library_, "BatchOptimizer: circuit '",
+            circuit.name,
+            "' references a different CellLibrary than the shared one; "
+            "cross-circuit catalog sharing requires one library "
+            "instance for the whole batch");
   }
 
   const celllib::CatalogCacheStats before = library_->catalog_cache_stats();

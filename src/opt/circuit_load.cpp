@@ -70,7 +70,7 @@ netlist::Netlist load_circuit_spec(const std::string& spec,
   }
   if (spec.ends_with(".blif")) {
     std::ifstream in(spec);
-    require(in.good(), "cannot open BLIF file '" + spec + "'");
+    require(in.good(), "cannot open BLIF file '", spec, "'");
     std::stringstream text;
     text << in.rdbuf();
     // Mapped BLIF carries .gate lines; generic BLIF carries .names
@@ -83,7 +83,7 @@ netlist::Netlist load_circuit_spec(const std::string& spec,
   }
   if (spec.ends_with(".v")) {
     std::ifstream in(spec);
-    require(in.good(), "cannot open Verilog file '" + spec + "'");
+    require(in.good(), "cannot open Verilog file '", spec, "'");
     return netlist::read_verilog(library, in, spec);
   }
   throw Error("unknown circuit '" + spec +

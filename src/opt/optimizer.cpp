@@ -5,7 +5,6 @@
 #include <string>
 
 #include "celllib/cell.hpp"
-#include "gategraph/gate_graph.hpp"
 #include "opt/search.hpp"
 #include "power/gate_power.hpp"
 #include "util/error.hpp"
@@ -51,7 +50,6 @@ using boolfn::SignalStats;
 using celllib::CatalogConfig;
 using celllib::CatalogNode;
 using celllib::ReorderCatalog;
-using gategraph::GateGraph;
 using gategraph::GateTopology;
 using netlist::GateId;
 using netlist::NetId;
@@ -71,27 +69,36 @@ const std::vector<double>& score_catalog(const ReorderCatalog& catalog,
   for (const SignalStats& s : inputs) scratch.probs.push_back(s.prob);
   scratch.weights.assign(scratch.probs);
 
-  // One node's model power from its precomputed tables.
-  const auto node_power = [&](const CatalogNode& node) {
-    const double cap =
-        celllib::node_capacitance(tech, node.terminal_count,
-                                  node.node == GateGraph::output_node,
-                                  external_load);
-    return power::evaluate_node_tables(node.h, node.g, node.dh.data(),
-                                       node.dg.data(), cap, inputs,
-                                       scratch.weights, tech)
-        .power;
-  };
+  // Step 1: each distinct node's model power, once (the output-only
+  // ablation reads output nodes only).
+  const bool extended = model == power::ModelKind::extended;
+  scratch.node_powers.clear();
+  for (const CatalogNode& node : catalog.nodes()) {
+    if (!extended && !node.is_output) {
+      scratch.node_powers.push_back(0.0);
+      continue;
+    }
+    const double cap = celllib::node_capacitance(
+        tech, node.terminal_count, node.is_output, external_load);
+    scratch.node_powers.push_back(
+        power::evaluate_node_tables(node.h, node.g, node.dh.data(),
+                                    node.dg.data(), cap, inputs,
+                                    scratch.weights, tech)
+            .power);
+  }
 
+  // Step 2: per configuration, the node powers summed in model node order.
   scratch.powers.clear();
-  scratch.powers.reserve(catalog.configs().size());
   for (const CatalogConfig& config : catalog.configs()) {
     double total = 0.0;
-    if (model == power::ModelKind::extended) {
-      for (const CatalogNode& node : config.nodes) total += node_power(node);
+    if (extended) {
+      for (int node : config.nodes) {
+        total += scratch.node_powers[static_cast<std::size_t>(node)];
+      }
     } else {
       // Output-only ablation: the output node is stored last.
-      total += node_power(config.nodes.back());
+      total += scratch.node_powers[static_cast<std::size_t>(
+          config.nodes.back())];
     }
     scratch.powers.push_back(total);
   }

@@ -7,7 +7,8 @@
 // probabilities and transition densities, a table build in which every
 // gate looks up the precomputed reordering catalog of its cell
 // (celllib::ReorderCatalog, cached in the CellLibrary) and scores all
-// candidate configurations with the word-parallel boolean kernel, and one
+// candidate configurations with the word-parallel boolean kernel (each
+// distinct catalog node once, then a per-configuration gather), and one
 // greedy walk that commits a configuration per gate
 // (search::IncrementalScorer and search::greedy_seed, opt/search.hpp).
 // Gates are scored concurrently on a small thread pool; results are
@@ -120,18 +121,23 @@ struct OptimizeReport {
 
 /// Reusable scoring buffers. One scratch per thread amortises the
 /// probability-weight construction and the input-statistics staging across
-/// every candidate of every gate the thread scores (allocation-free steady
-/// state).
+/// every candidate of every gate the thread scores: once its buffers have
+/// grown to the largest catalog, score_catalog allocates nothing.
 struct ScoreScratch {
   boolfn::MintermWeights weights;
   std::vector<double> probs;
-  std::vector<double> powers;
+  std::vector<double> node_powers;  ///< per catalog pool node
+  std::vector<double> powers;       ///< per configuration
 };
 
 /// Scores every configuration of `catalog` under the given input
 /// statistics and external load. Returns the model power per
 /// configuration, in catalog (= enumeration) order, backed by
-/// scratch.powers. Bit-identical to scoring each configuration with
+/// scratch.powers. Two steps: every distinct pool node
+/// (ReorderCatalog::nodes()) is evaluated once, then each configuration
+/// sums its nodes' powers in model node order. A node's power is a pure
+/// function of its tables, capacitance, inputs and weights, so the result
+/// is bit-identical to scoring each configuration with
 /// evaluate_gate_power / evaluate_output_only_power.
 const std::vector<double>& score_catalog(
     const celllib::ReorderCatalog& catalog,

@@ -19,8 +19,8 @@ CircuitActivity propagate_activity(
   for (NetId id : netlist.primary_inputs()) {
     const auto it = pi_stats.find(id);
     require(it != pi_stats.end(),
-            "propagate_activity: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
+            "propagate_activity: missing statistics for primary input '",
+            netlist.net(id).name, "'");
     activity.net_stats[static_cast<std::size_t>(id)] = it->second;
   }
 

@@ -26,7 +26,7 @@ struct FdGuard {
 
 int connect_tcp(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(fd >= 0, "client: socket: " + std::string(std::strerror(errno)));
+  require(fd >= 0, "client: socket: ", std::strerror(errno));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -111,7 +111,7 @@ int connect_tcp_timeout(const std::string& host, int port,
   if (timeout_ms < 0.0) return connect_tcp(host, port);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(fd >= 0, "client: socket: " + std::string(std::strerror(errno)));
+  require(fd >= 0, "client: socket: ", std::strerror(errno));
   FdGuard guard{fd};
 
   sockaddr_in addr{};
@@ -124,7 +124,7 @@ int connect_tcp_timeout(const std::string& host, int port,
 
   const int flags = ::fcntl(fd, F_GETFL, 0);
   require(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-          "client: fcntl: " + std::string(std::strerror(errno)));
+          "client: fcntl: ", std::strerror(errno));
 
   const std::string endpoint = host + ":" + std::to_string(port);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
@@ -155,8 +155,8 @@ int connect_tcp_timeout(const std::string& host, int port,
 
   // Back to blocking: the framed reads below poll with their own
   // deadline predicate and expect blocking semantics between slices.
-  require(::fcntl(fd, F_SETFL, flags) == 0,
-          "client: fcntl: " + std::string(std::strerror(errno)));
+  require(::fcntl(fd, F_SETFL, flags) == 0, "client: fcntl: ",
+          std::strerror(errno));
   guard.fd = -1;  // ownership passes to the caller
   return fd;
 }

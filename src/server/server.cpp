@@ -43,26 +43,15 @@ public:
     send(kFrameProgress, payload);
   }
   void on_response(const std::string& payload) override {
-    // A client reading with the same frame limit would refuse the frame
-    // unread; rerunning the request cannot shrink it, so say why instead.
-    if (payload.size() > max_frame_bytes_) {
-      send(kFrameError,
-           render_error(wire_error(
-               ErrorCode::invalid_argument,
-               "wire: response of " + std::to_string(payload.size()) +
-                   " bytes exceeds the frame limit of " +
-                   std::to_string(max_frame_bytes_) +
-                   " bytes; request fewer circuits or drop the per-gate "
-                   "configurations (\"gate_configs\": false, tr_opt "
-                   "--no-gate-configs)")));
-    } else {
-      send(kFrameResponse, payload);
-    }
+    send(kFrameResponse, payload);
     done_.store(true);
   }
   void on_error(const std::string& payload) override {
     send(kFrameError, payload);
     done_.store(true);
+  }
+  std::size_t max_response_bytes() const noexcept override {
+    return max_frame_bytes_;
   }
 
   /// Terminal frame delivered (or dropped on a dead peer).

@@ -21,6 +21,26 @@ opt::CircuitError make_error(ErrorCode code, std::string site,
   return error;
 }
 
+/// Delivers the terminal response, or, when it exceeds the sink's frame
+/// limit, one non-retryable error naming the size: a client reading with
+/// the same limit would refuse the frame unread, and rerunning the
+/// request cannot shrink it. Returns true when the response was sent.
+bool deliver_response(Sink& sink, const std::string& payload) {
+  const std::size_t limit = sink.max_response_bytes();
+  if (payload.size() <= limit) {
+    sink.on_response(payload);
+    return true;
+  }
+  sink.on_error(render_error(make_error(
+      ErrorCode::invalid_argument, "wire",
+      "wire: response of " + std::to_string(payload.size()) +
+          " bytes exceeds the frame limit of " + std::to_string(limit) +
+          " bytes; request fewer circuits or drop the per-gate "
+          "configurations (\"gate_configs\": false, tr_opt "
+          "--no-gate-configs)")));
+  return false;
+}
+
 }  // namespace
 
 std::string render_progress(std::size_t index,
@@ -114,7 +134,7 @@ util::CancellationToken OptimizeService::submit(
       }
     }
     if (hit) {
-      sink->on_response(replay);
+      deliver_response(*sink, replay);
       return {};
     }
   }
@@ -219,8 +239,12 @@ void OptimizeService::execute(Job& job) noexcept {
     if (!job.request.request_id.empty()) {
       remember_response(job.request.request_id, payload);
     }
-    job.sink->on_response(payload);
-    classify_outcome(report);
+    if (deliver_response(*job.sink, payload)) {
+      classify_outcome(report);
+    } else {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++counters_.error;
+    }
   } catch (...) {
     const opt::CircuitError error = opt::describe_current_exception();
     {

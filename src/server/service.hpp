@@ -21,6 +21,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -60,6 +61,12 @@ public:
   virtual void on_response(const std::string& payload) = 0;
   /// A structured error payload (render_error); terminal.
   virtual void on_error(const std::string& payload) = 0;
+  /// Largest response payload the sink can deliver. The service answers
+  /// a larger one with a non-retryable error frame instead of
+  /// on_response, and counts the request as an error.
+  virtual std::size_t max_response_bytes() const noexcept {
+    return std::numeric_limits<std::size_t>::max();
+  }
 };
 
 struct ServiceConfig {

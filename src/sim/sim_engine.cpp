@@ -656,9 +656,8 @@ void SimEngine::build_pis(const PiStatsTable& pi_stats) {
   pi_order_ = netlist_.primary_inputs();
   for (NetId id : pi_order_) {
     const boolfn::SignalStats* s = pi_stats.find(id);
-    require(s != nullptr,
-            "switch_sim: missing statistics for primary input '" +
-                netlist_.net(id).name + "'");
+    require(s != nullptr, "switch_sim: missing statistics for primary input '",
+            netlist_.net(id).name, "'");
     require(s->prob >= 0.0 && s->prob <= 1.0 && s->density >= 0.0,
             "switch_sim: invalid PI statistics");
     PiProcess p;

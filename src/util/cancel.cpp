@@ -16,9 +16,8 @@ CancellationToken CancellationToken::with_deadline_ms(double ms) {
   // caller bugs, so fail loudly instead of arming a token that can
   // never fire (ISSUE 8: a daemon must not accept a deadline it cannot
   // enforce).
-  require(std::isfinite(ms),
-          "CancellationToken: deadline must be finite, got " +
-              std::to_string(ms) + " ms");
+  require(std::isfinite(ms), "CancellationToken: deadline must be finite, got ",
+          ms, " ms");
   CancellationToken token = cancellable();
   token.state_->has_deadline = true;
   token.state_->deadline =

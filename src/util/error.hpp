@@ -17,6 +17,8 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -180,10 +182,38 @@ namespace detail {
     }                                                                    \
   } while (false)
 
-/// Throws tr::Error with the given message if `cond` is false. Used for
-/// validating user-supplied data at API boundaries.
-inline void require(bool cond, const std::string& message) {
-  if (!cond) throw Error(message);
+namespace detail {
+inline void append_part(std::string& out, std::string_view part) {
+  out += part;
+}
+inline void append_part(std::string& out, char part) { out += part; }
+template <class Number>
+  requires std::is_arithmetic_v<Number>
+void append_part(std::string& out, Number part) {
+  out += std::to_string(part);
+}
+}  // namespace detail
+
+/// Throws tr::Error if `cond` is false. Used for validating user-supplied
+/// data at API boundaries. The message is the concatenation of `parts`
+/// (strings, characters, and numbers rendered by std::to_string), built
+/// only when the check fails:
+///
+///   require(var < n, "index ", var, " out of range for ", n, " variables");
+///
+/// Checks sit on hot paths (the scoring kernel runs millions per batch and
+/// must not allocate; DESIGN.md Sec. 7.2), so a message is never built
+/// up front: a std::string temporary as a part is a compile error.
+template <class... Parts>
+void require(bool cond, Parts&&... parts) {
+  static_assert(sizeof...(Parts) > 0, "require needs a message");
+  static_assert((!std::is_same_v<Parts, std::string> && ...),
+                "pass the message's parts, not a string built on every call");
+  if (!cond) [[unlikely]] {
+    std::string message;
+    (detail::append_part(message, parts), ...);
+    throw Error(message);
+  }
 }
 
 }  // namespace tr

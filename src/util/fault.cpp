@@ -62,11 +62,11 @@ void arm(const std::string& site, std::uint64_t nth, FaultKind kind,
          std::optional<std::string> context) {
   const auto& registry = sites();
   require(std::find(registry.begin(), registry.end(), site) != registry.end(),
-          "unknown fault site '" + site + "'");
+          "unknown fault site '", site, "'");
   require(nth >= 1, "fault nth must be >= 1");
   std::lock_guard<std::mutex> lock(mu);
   require(!armed.load(std::memory_order_relaxed),
-          "a fault is already armed (site '" + config.site + "')");
+          "a fault is already armed (site '", config.site, "')");
   config = Config{site, nth, kind, std::move(context), 0, false};
   armed.store(true, std::memory_order_relaxed);
 }
@@ -145,8 +145,7 @@ bool install_from_env() {
     start = colon + 1;
   }
   require(!parts.empty() && !parts[0].empty(),
-          "TR_FAULT: expected site[:nth][:kind][@context], got '" +
-              std::string(env) + "'");
+          "TR_FAULT: expected site[:nth][:kind][@context], got '", env, "'");
 
   std::uint64_t nth = 1;
   FaultKind kind = FaultKind::error;

@@ -155,8 +155,8 @@ ReadResult read_entry(const std::string& path) {
 
 void write_entry(const std::string& dir, const std::string& name,
                  std::string_view payload) {
-  require(name.find('/') == std::string::npos,
-          "journal: entry name '" + name + "' must not contain '/'");
+  require(name.find('/') == std::string::npos, "journal: entry name '", name,
+          "' must not contain '/'");
 
   std::string frame;
   frame.reserve(kHeaderBytes + payload.size());
@@ -236,8 +236,8 @@ void sync_directory(const std::string& dir) {
 // torn entry is still *detected*, it just becomes more likely.
 void write_entry(const std::string& dir, const std::string& name,
                  std::string_view payload) {
-  require(name.find('/') == std::string::npos,
-          "journal: entry name '" + name + "' must not contain '/'");
+  require(name.find('/') == std::string::npos, "journal: entry name '", name,
+          "' must not contain '/'");
   std::string frame;
   frame.reserve(kHeaderBytes + payload.size());
   frame.append(kMagic, sizeof(kMagic));

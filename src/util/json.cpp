@@ -159,28 +159,28 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
 }
 
 bool JsonValue::as_bool(const std::string& what) const {
-  require(kind == Kind::boolean, what + " must be true or false");
+  require(kind == Kind::boolean, what, " must be true or false");
   return boolean;
 }
 
 double JsonValue::as_double(const std::string& what) const {
-  require(kind == Kind::number, what + " must be a number");
+  require(kind == Kind::number, what, " must be a number");
   return number;
 }
 
 std::int64_t JsonValue::as_i64(const std::string& what) const {
-  require(kind == Kind::number && has_i64, what + " must be an integer");
+  require(kind == Kind::number && has_i64, what, " must be an integer");
   return i64;
 }
 
 std::uint64_t JsonValue::as_u64(const std::string& what) const {
-  require(kind == Kind::number && has_u64,
-          what + " must be a non-negative integer");
+  require(kind == Kind::number && has_u64, what,
+          " must be a non-negative integer");
   return u64;
 }
 
 const std::string& JsonValue::as_string(const std::string& what) const {
-  require(kind == Kind::string, what + " must be a string");
+  require(kind == Kind::string, what, " must be a string");
   return string;
 }
 

@@ -119,8 +119,8 @@ OptimizeReport optimize_reference(Netlist& netlist,
   for (NetId id : netlist.primary_inputs()) {
     const auto it = pi_stats.find(id);
     require(it != pi_stats.end(),
-            "optimize_reference: missing statistics for primary input '" +
-                netlist.net(id).name + "'");
+            "optimize_reference: missing statistics for primary input '",
+            netlist.net(id).name, "'");
     net_stats[static_cast<std::size_t>(id)] = it->second;
   }
 

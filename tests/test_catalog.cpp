@@ -26,7 +26,7 @@ using gategraph::SpNode;
 
 /// Asserts every node table of every catalog configuration equals what a
 /// fresh GateGraph characterisation computes — the oracle the derivation
-/// by variable permutation must reproduce exactly.
+/// by variable permutation and the node pool must reproduce exactly.
 void expect_catalog_matches_graphs(const ReorderCatalog& catalog) {
   for (const CatalogConfig& entry : catalog.configs()) {
     const GateGraph graph(entry.topology);
@@ -34,16 +34,18 @@ void expect_catalog_matches_graphs(const ReorderCatalog& catalog) {
     ASSERT_EQ(entry.nodes.size(),
               static_cast<std::size_t>(graph.internal_node_count()) + 1);
     // Node order contract: internal nodes ascending, output last.
-    for (std::size_t k = 0; k + 1 < entry.nodes.size(); ++k) {
-      EXPECT_EQ(entry.nodes[k].node,
-                GateGraph::first_internal_node + static_cast<int>(k));
-    }
-    EXPECT_EQ(entry.nodes.back().node, GateGraph::output_node);
-    for (const CatalogNode& node : entry.nodes) {
-      EXPECT_EQ(node.terminal_count,
-                terminals[static_cast<std::size_t>(node.node)]);
-      EXPECT_EQ(node.h, graph.h_function(node.node));
-      EXPECT_EQ(node.g, graph.g_function(node.node));
+    for (std::size_t k = 0; k < entry.nodes.size(); ++k) {
+      const int id = k + 1 < entry.nodes.size()
+                         ? GateGraph::first_internal_node + static_cast<int>(k)
+                         : GateGraph::output_node;
+      ASSERT_GE(entry.nodes[k], 0);
+      ASSERT_LT(entry.nodes[k], static_cast<int>(catalog.nodes().size()));
+      const CatalogNode& node =
+          catalog.nodes()[static_cast<std::size_t>(entry.nodes[k])];
+      EXPECT_EQ(node.is_output, id == GateGraph::output_node);
+      EXPECT_EQ(node.terminal_count, terminals[static_cast<std::size_t>(id)]);
+      EXPECT_EQ(node.h, graph.h_function(id));
+      EXPECT_EQ(node.g, graph.g_function(id));
       ASSERT_EQ(node.dh.size(),
                 static_cast<std::size_t>(catalog.input_count()));
       ASSERT_EQ(node.dg.size(),
@@ -69,6 +71,41 @@ TEST(ReorderCatalog, EveryLibraryCellMatchesGraphOracle) {
     // instance-mates (sanity that the fast path is exercised).
     EXPECT_LE(catalog.characterized_instances(),
               static_cast<int>(catalog.configs().size()));
+  }
+}
+
+TEST(ReorderCatalog, NodePoolHoldsEachDistinctNodeOnce) {
+  const CellLibrary lib = CellLibrary::standard();
+  // Pinned pool sizes: the configurations are input permutations of a few
+  // instance representatives (paper Sec. 5.1), so most nodes repeat.
+  const std::pair<const char*, std::pair<std::size_t, std::size_t>> pinned[] =
+      {{"aoi222", {48, 13}}, {"aoi33", {72, 15}}};
+  for (const auto& [name, sizes] : pinned) {
+    SCOPED_TRACE(name);
+    const ReorderCatalog catalog =
+        ReorderCatalog::build(lib.cell(name).topology());
+    EXPECT_EQ(catalog.configs().size(), sizes.first);
+    EXPECT_EQ(catalog.nodes().size(), sizes.second);
+  }
+  // No two pool entries share a key (h, g, terminal count, is-output), and
+  // every entry is used by some configuration.
+  for (const std::string& name : lib.cell_names()) {
+    SCOPED_TRACE(name);
+    const ReorderCatalog catalog =
+        ReorderCatalog::build(lib.cell(name).topology());
+    const auto& pool = catalog.nodes();
+    for (std::size_t a = 0; a < pool.size(); ++a) {
+      for (std::size_t b = a + 1; b < pool.size(); ++b) {
+        EXPECT_FALSE(pool[a].h == pool[b].h && pool[a].g == pool[b].g &&
+                     pool[a].terminal_count == pool[b].terminal_count &&
+                     pool[a].is_output == pool[b].is_output);
+      }
+    }
+    std::set<int> used;
+    for (const CatalogConfig& entry : catalog.configs()) {
+      used.insert(entry.nodes.begin(), entry.nodes.end());
+    }
+    EXPECT_EQ(used.size(), pool.size());
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "celllib/catalog.hpp"
 #include "celllib/library.hpp"
+#include "gategraph/gate_graph.hpp"
 #include "util/error.hpp"
 
 namespace tr::celllib {
@@ -62,6 +63,28 @@ TEST(CellLibrary, PinNamesAndCapacitance) {
     EXPECT_DOUBLE_EQ(aoi21.pin_capacitance(tech, pin), 2.0 * tech.c_gate);
   }
   EXPECT_THROW(aoi21.pin_capacitance(tech, 3), Error);
+}
+
+TEST(CellLibrary, PinCapacitanceHoldsForEveryReordering) {
+  // Cell counts each pin's devices once, on its canonical configuration;
+  // that is sound only because reordering never changes how many devices
+  // a pin gates.
+  const CellLibrary lib = CellLibrary::standard();
+  const Tech tech = default_tech();
+  for (const std::string& name : lib.cell_names()) {
+    SCOPED_TRACE(name);
+    const Cell& cell = lib.cell(name);
+    for (const gategraph::GateTopology& config :
+         cell.topology().all_reorderings()) {
+      const gategraph::GateGraph graph(config);
+      for (int pin = 0; pin < cell.input_count(); ++pin) {
+        int devices = 0;
+        for (const auto& t : graph.transistors()) devices += t.input == pin;
+        EXPECT_EQ(cell.pin_capacitance(tech, pin),
+                  tech.c_gate * static_cast<double>(devices));
+      }
+    }
+  }
 }
 
 TEST(CellLibrary, InstanceCounts) {

@@ -307,6 +307,25 @@ TEST(ServerCorpus, RangeViolationsAreInvalidAtSubmit) {
   EXPECT_EQ(service.metrics().error, 0u);
 }
 
+TEST(ServerCorpus, OversizedResponseIsCountedAsAnError) {
+  // The classic report is far past this daemon's frame limit: the client
+  // receives an error frame instead of the response, so the metrics must
+  // count an error, never a success the client did not get.
+  ServerConfig config;
+  config.max_frame_bytes = 1024;
+  TestServer daemon(config);
+  const ClientResult result =
+      run_request("127.0.0.1", daemon.port(), R"({"suite": "classic"})");
+  ASSERT_EQ(result.type, kFrameError);
+  const JsonValue doc = util::json_parse(result.payload);
+  EXPECT_EQ(doc.find("code")->as_string("code"), "invalid_argument");
+
+  daemon.drain();
+  const ServiceMetrics metrics = daemon.metrics();
+  EXPECT_EQ(metrics.ok, 0u);
+  EXPECT_EQ(metrics.error, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 

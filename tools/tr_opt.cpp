@@ -282,7 +282,7 @@ int run_batch(ToolOptions& o) {
       fs::create_directories(o.out_dir);
       {
         std::ofstream out(fs::path(o.out_dir) / "batch.json");
-        require(out.good(), "cannot write to '" + o.out_dir + "'");
+        require(out.good(), "cannot write to '", o.out_dir, "'");
         write_batch_json(batch, report, options, out, json);
       }
       // Deterministic, collision-proof file names: bump a suffix until
@@ -297,8 +297,8 @@ int run_batch(ToolOptions& o) {
         }
         taken.insert(final_name);
         std::ofstream out(fs::path(o.out_dir) / (final_name + ".json"));
-        require(out.good(),
-                "cannot write circuit report for '" + final_name + "'");
+        require(out.good(), "cannot write circuit report for '", final_name,
+                "'");
         write_circuit_json(batch[i], report.circuits[i], out, json);
       }
       std::cerr << "reports written to " << o.out_dir << "/\n";
@@ -361,7 +361,7 @@ int run_serve(const ToolOptions& o) {
 
     if (!o.port_file.empty()) {
       std::ofstream out(o.port_file);
-      require(out.good(), "cannot write port file '" + o.port_file + "'");
+      require(out.good(), "cannot write port file '", o.port_file, "'");
       out << daemon.port() << "\n";
     }
     std::cerr << "tr_opt: serving on " << o.server.host << ":"
