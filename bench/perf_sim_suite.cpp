@@ -1,40 +1,30 @@
 // Monte-Carlo simulation throughput over the classic and scaled
 // benchmark tiers (DESIGN.md Sec. 10.4).
 //
-// Times the rewritten simulation hot path (flat arenas + indexed event
-// scheduler, serial and thread-pool replication) against the retained
-// reference event loop on every suite circuit, and writes the
-// measurements to BENCH_sim.json so the performance trajectory of the
-// Monte-Carlo layer is recorded run over run — the sim-side counterpart
-// of perf_optimize_suite. The CI sim-perf-smoke job diffs the result
+// Times the simulation engine (flat arenas + indexed event scheduler,
+// serial and thread-pool replication) against the pre-rewrite reference
+// event loop (tests/oracle/reference_sim.hpp) on every suite circuit,
+// and writes the measurements to BENCH_sim.json so the performance
+// trajectory of the Monte-Carlo layer is recorded run over run — the
+// sim-side counterpart of perf_optimize_suite. The CI sim-perf-smoke job diffs the result
 // against the checked-in baseline (bench/BENCH_sim.baseline.json) and
 // fails on large regressions; the hardware-independent gate is the
-// same-run speedup of the fast path over the reference loop on the
-// scaled tier (ISSUE 5 acceptance: >= 3x).
-//
-// The bit-parallel tier (bp2000 … bp8000, deep 2-PI transparency
-// chains) times the packed 64-lane Monte-Carlo route (sim/bitsim.hpp)
-// against the scalar replication loop under the zero-delay model; its
-// hardware-independent gate is --min-bp-speedup (ISSUE 6 acceptance:
-// >= 8x effective replication throughput).
+// same-run speedup of the engine over the reference loop on the scaled
+// tier (floor and its derivation: DESIGN.md Sec. 10.4).
 //
 // Usage:
 //   perf_sim_suite [--quick] [--reps=N] [--out=PATH]
-//                  [--no-reference] [--min-speedup=X] [--min-bp-speedup=X]
+//                  [--no-reference] [--min-speedup=X]
 //                  [--baseline=PATH] [--max-regression=X]
 //
 //   --quick            CI subset (4 classic + syn1000/2000/4000) instead
-//                      of the full classic sample + whole scaled tier;
-//                      the bit-parallel tier always runs in full
+//                      of the full classic sample + whole scaled tier
 //   --reps=N           Monte-Carlo replications per circuit (default 8)
 //   --out=PATH         JSON output path (default BENCH_sim.json)
 //   --no-reference     skip the reference-loop measurement (no speedup)
 //   --min-speedup=X    exit 1 when the scaled-tier replications/sec
 //                      speedup (fast vs reference, same run — hardware
 //                      cancels out) drops below X
-//   --min-bp-speedup=X exit 1 when the bit-parallel tier's packed vs
-//                      scalar per-replicate speedup (same run) drops
-//                      below X
 //   --baseline=PATH    compare total_fast_ms against a previous JSON;
 //                      exit 1 when current > max-regression x baseline
 //   --max-regression=X allowed slowdown factor (default 2.0)
@@ -52,6 +42,7 @@
 #include "benchgen/suite.hpp"
 #include "celllib/library.hpp"
 #include "opt/scenario.hpp"
+#include "oracle/reference_sim.hpp"
 #include "sim/monte_carlo.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -78,18 +69,6 @@ struct CircuitRow {
   double parallel_reps_per_sec = 0.0;
   int threads = 0;
   std::uint64_t scratch_bytes = 0;   ///< scratch high-water
-};
-
-struct BpRow {
-  std::string name;
-  int gates = 0;
-  int nets = 0;
-  std::uint64_t events = 0;          ///< total events, packed run
-  double packed_ms = 0.0;            ///< 64-lane bit-parallel route
-  double packed_reps_per_sec = 0.0;
-  double scalar_ms = 0.0;            ///< scalar route, same 64 streams
-  double scalar_reps_per_sec = 0.0;
-  double speedup = 0.0;              ///< scalar vs packed per-replicate
 };
 
 struct TierSpec {
@@ -138,7 +117,6 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   double max_regression = 2.0;
   double min_speedup = -1.0;
-  double min_bp_speedup = -1.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
@@ -147,8 +125,6 @@ int main(int argc, char** argv) {
       measure_reference = false;
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-    } else if (arg.rfind("--min-bp-speedup=", 0) == 0) {
-      min_bp_speedup = std::strtod(arg.c_str() + 17, nullptr);
     } else if (arg.rfind("--reps=", 0) == 0) {
       reps = std::max(2, std::atoi(arg.c_str() + 7));
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -225,11 +201,12 @@ int main(int argc, char** argv) {
     // Reference loop, same replicate streams (fewer reps: it is the
     // slow side of the ratio; per-replicate cost is what matters).
     if (measure_reference) {
+      const oracle::ReferenceSim reference(nl, stats, tech, mc.sim);
       const int ref_reps = std::max(2, reps / 4);
       t0 = std::chrono::steady_clock::now();
       for (int k = 0; k < ref_reps; ++k) {
         const sim::SimResult r =
-            engine.run_reference(Rng::derive_stream(mc.sim.seed, k));
+            reference.run(Rng::derive_stream(mc.sim.seed, k));
         truncated = truncated || r.truncated;
       }
       row.reference_ms = ms_since(t0) * reps / ref_reps;  // scaled to reps
@@ -254,81 +231,6 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // Bit-parallel tier: the packed 64-lane route vs the scalar loop over
-  // the same 64 replicate streams, zero-delay model. Timings stay out of
-  // total_fast_ms so the baseline comparison above keeps its meaning;
-  // the tier has its own hardware-independent gate (--min-bp-speedup:
-  // both routes timed in this run, so the hardware cancels out).
-  std::vector<BpRow> bp_rows;
-  double bp_packed_rep_ms = 0.0;
-  double bp_scalar_rep_ms = 0.0;
-  // The whole tier runs even under --quick: the gate aggregates over all
-  // sizes, and the packed route makes each row cheap to time.
-  for (const benchgen::BenchmarkSpec& spec : benchgen::bit_parallel_suite()) {
-    const netlist::Netlist nl = benchgen::build_benchmark(library, spec);
-    const auto stats = opt::scenario_a(nl, spec.seed ^ 0x51ABULL);
-    double mean_density = 0.0;
-    for (const auto& [net, s] : stats) mean_density += s.density;
-    mean_density /= static_cast<double>(stats.size());
-
-    sim::MonteCarloOptions mc;
-    mc.sim.seed = spec.seed + 9;
-    mc.sim.delay_model = sim::DelayModel::zero;
-    mc.sim.measure_time = 40.0 / mean_density;
-    mc.sim.warmup_time = mc.sim.measure_time * 0.02;
-    mc.replications = 64;
-    mc.threads = 1;
-    const sim::SimEngine engine(nl, stats, tech, mc.sim);
-
-    BpRow row;
-    row.name = spec.name;
-    row.gates = nl.gate_count();
-    row.nets = nl.net_count();
-
-    // The packed side is fast enough that one 64-lane word is timer
-    // noise; average over a few rounds (identical work each time).
-    const int rounds = std::max(2, reps / 2);
-    mc.packing = sim::PackingMode::packed;
-    auto t0 = std::chrono::steady_clock::now();
-    sim::SimSummary packed;
-    for (int r = 0; r < rounds; ++r) packed = sim::monte_carlo(engine, mc);
-    row.packed_ms = ms_since(t0) / rounds;
-    row.events = packed.total_events;
-    row.packed_reps_per_sec = 1e3 * 64.0 / row.packed_ms;
-    truncated = truncated || packed.truncated_replications > 0;
-
-    mc.packing = sim::PackingMode::scalar;
-    t0 = std::chrono::steady_clock::now();
-    const sim::SimSummary scalar = sim::monte_carlo(engine, mc);
-    row.scalar_ms = ms_since(t0);
-    row.scalar_reps_per_sec = 1e3 * 64.0 / row.scalar_ms;
-    truncated = truncated || scalar.truncated_replications > 0;
-
-    // Tripwire: the two routes contract to be bit-identical; a drift in
-    // event counts means the bench is timing different work.
-    if (packed.total_events != scalar.total_events) {
-      std::cerr << "ERROR: " << row.name
-                << ": packed and scalar routes diverged (events "
-                << packed.total_events << " vs " << scalar.total_events
-                << ")\n";
-      return 1;
-    }
-
-    row.speedup = row.scalar_ms / row.packed_ms;
-    bp_packed_rep_ms += row.packed_ms / 64.0;
-    bp_scalar_rep_ms += row.scalar_ms / 64.0;
-    std::printf(
-        "%-8s bitpar  %5d gates %9llu ev  %8.2f ms  %7.0f reps/s  %5.1fx vs "
-        "scalar\n",
-        row.name.c_str(), row.gates,
-        static_cast<unsigned long long>(row.events), row.packed_ms,
-        row.packed_reps_per_sec, row.speedup);
-    bp_rows.push_back(std::move(row));
-  }
-  const double bp_speedup = bp_packed_rep_ms > 0.0
-                                ? bp_scalar_rep_ms / bp_packed_rep_ms
-                                : -1.0;
-
   const double scaled_speedup =
       scaled_fast_rep_ms > 0.0 && scaled_reference_rep_ms > 0.0
           ? scaled_reference_rep_ms / scaled_fast_rep_ms
@@ -338,9 +240,6 @@ int main(int argc, char** argv) {
   if (scaled_speedup > 0.0) {
     std::printf("; scaled-tier speedup %.1fx vs reference loop",
                 scaled_speedup);
-  }
-  if (bp_speedup > 0.0) {
-    std::printf("; bit-parallel speedup %.1fx vs scalar", bp_speedup);
   }
   std::printf("\n");
 
@@ -395,31 +294,6 @@ int main(int argc, char** argv) {
       json.end_object();
     }
     json.end_array();
-    json.key("bit_parallel");
-    json.begin_array();
-    for (const BpRow& row : bp_rows) {
-      json.begin_object();
-      json.key("name");
-      json.value(row.name);
-      json.key("gates");
-      json.value(row.gates);
-      json.key("nets");
-      json.value(row.nets);
-      json.key("events");
-      json.value(static_cast<std::uint64_t>(row.events));
-      json.key("packed_ms");
-      json.value(row.packed_ms);
-      json.key("packed_reps_per_sec");
-      json.value(row.packed_reps_per_sec);
-      json.key("scalar_ms");
-      json.value(row.scalar_ms);
-      json.key("scalar_reps_per_sec");
-      json.value(row.scalar_reps_per_sec);
-      json.key("speedup");
-      json.value(row.speedup);
-      json.end_object();
-    }
-    json.end_array();
     json.key("total_fast_ms");
     json.value(total_fast_ms);
     json.key("total_parallel_ms");
@@ -427,10 +301,6 @@ int main(int argc, char** argv) {
     if (scaled_speedup > 0.0) {
       json.key("scaled_speedup");
       json.value(scaled_speedup);
-    }
-    if (bp_speedup > 0.0) {
-      json.key("bp_speedup");
-      json.value(bp_speedup);
     }
     json.end_object();
   }
@@ -442,7 +312,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Hardware-independent gate: fast path vs reference loop in this very
+  // Hardware-independent gate: engine vs reference loop in this very
   // run, on the tier the rewrite exists for.
   if (min_speedup > 0.0) {
     if (scaled_speedup < 0.0) {
@@ -453,21 +323,6 @@ int main(int argc, char** argv) {
       std::cerr << "PERF REGRESSION: scaled-tier MC throughput only "
                 << scaled_speedup << "x the reference loop (floor "
                 << min_speedup << "x)\n";
-      return 1;
-    }
-  }
-
-  // Same-run gate for the packed lane: scalar vs packed over identical
-  // replicate streams, so the ratio is hardware-independent.
-  if (min_bp_speedup > 0.0) {
-    if (bp_speedup < 0.0) {
-      std::cerr << "--min-bp-speedup requires the bit-parallel tier\n";
-      return 2;
-    }
-    if (bp_speedup < min_bp_speedup) {
-      std::cerr << "PERF REGRESSION: bit-parallel MC throughput only "
-                << bp_speedup << "x the scalar route (floor "
-                << min_bp_speedup << "x)\n";
       return 1;
     }
   }

@@ -89,45 +89,6 @@ Netlist parity_tree(const celllib::CellLibrary& library, int inputs) {
   return nl;
 }
 
-Netlist xor_chain(const celllib::CellLibrary& library, const std::string& name,
-                  int target_gates, int inputs, int inverter_run) {
-  require(inputs >= 2, "xor_chain: need at least two inputs");
-  require(inverter_run >= 1, "xor_chain: inverter_run must be >= 1");
-  // Enough segments that every input gets tapped at least twice — the
-  // cascade of one toggle dies at the next tap of the same input, so
-  // shorter chains would never exercise the cancellation path.
-  require(target_gates >= (2 * inputs + 1) * (inverter_run + 2),
-          "xor_chain: target_gates too small for this input count");
-  Netlist nl(library, name);
-  std::vector<NetId> pi;
-  for (int i = 0; i < inputs; ++i) {
-    const NetId net = nl.add_net("p" + std::to_string(i));
-    nl.mark_primary_input(net);
-    pi.push_back(net);
-  }
-  int xor_counter = 0;
-  NetId chain = make_xor(nl, pi[0], pi[1], xor_counter);
-  int gate_count = 2;
-  int tap = 2 % inputs;
-  int inv_counter = 0;
-  while (gate_count + inverter_run + 2 <= target_gates) {
-    for (int r = 0; r < inverter_run; ++r) {
-      const NetId out = nl.add_net("_ic" + std::to_string(inv_counter));
-      nl.add_gate("chinv" + std::to_string(inv_counter), "inv", {chain}, out);
-      ++inv_counter;
-      ++gate_count;
-      chain = out;
-    }
-    chain = make_xor(nl, chain, pi[static_cast<std::size_t>(tap)],
-                     xor_counter);
-    gate_count += 2;
-    tap = (tap + 1) % inputs;
-  }
-  nl.mark_primary_output(chain);
-  nl.validate();
-  return nl;
-}
-
 Netlist mux_tree(const celllib::CellLibrary& library, int select_bits) {
   require(select_bits >= 1 && select_bits <= 6,
           "mux_tree: select_bits must be in 1..6");

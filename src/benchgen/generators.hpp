@@ -26,17 +26,6 @@ netlist::Netlist ripple_carry_adder(const celllib::CellLibrary& library,
 /// n-input parity tree (XOR as aoi21 + nor2 pairs).
 netlist::Netlist parity_tree(const celllib::CellLibrary& library, int inputs);
 
-/// Transparency chain for the bit-parallel benchmark tier: a running
-/// value threaded through runs of `inverter_run` inverters punctuated by
-/// XOR taps that cycle over `inputs` primary inputs. Inverters and XOR
-/// outputs flip whenever their driving net flips, so an input toggle
-/// traverses every stage up to the next tap of the same input — in the
-/// packed 64-lane simulator the replication masks stay dense along the
-/// whole cascade instead of fragmenting as they do in random logic.
-netlist::Netlist xor_chain(const celllib::CellLibrary& library,
-                           const std::string& name, int target_gates,
-                           int inputs, int inverter_run);
-
 /// 2^k-to-1 multiplexer tree (mux cell = aoi22 + inverters).
 netlist::Netlist mux_tree(const celllib::CellLibrary& library,
                           int select_bits);

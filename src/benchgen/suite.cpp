@@ -80,51 +80,25 @@ const std::vector<BenchmarkSpec>& scaled_suite() {
   return suite;
 }
 
-const std::vector<BenchmarkSpec>& bit_parallel_suite() {
-  static const std::vector<BenchmarkSpec> suite = [] {
-    // Deep and narrow: 2 PIs regardless of size, so a packed 64-lane
-    // round averages ~32 lanes per input-toggle group, and the
-    // transparency-chain structure keeps those group masks dense for
-    // the entire cascade (every stage flips when its driver flips; the
-    // one XOR tap a cascade crosses before cancelling splits the group
-    // at most once).
-    const int sizes[] = {2000, 4000, 8000};
-    std::vector<BenchmarkSpec> tier;
-    for (const int gates : sizes) {
-      BenchmarkSpec spec;
-      spec.name = "bp" + std::to_string(gates);
-      spec.gates = gates;
-      spec.primary_inputs = 2;
-      spec.seed = stable_hash(spec.name);
-      spec.kind = CircuitKind::xor_chain;
-      tier.push_back(std::move(spec));
+const BenchmarkSpec* find_suite_entry(const std::string& name) {
+  for (const auto* tier : {&table3_suite(), &scaled_suite()}) {
+    for (const BenchmarkSpec& spec : *tier) {
+      if (spec.name == name) return &spec;
     }
-    return tier;
-  }();
-  return suite;
+  }
+  return nullptr;
 }
 
 const BenchmarkSpec& suite_entry(const std::string& name) {
-  for (const BenchmarkSpec& spec : table3_suite()) {
-    if (spec.name == name) return spec;
+  const BenchmarkSpec* spec = find_suite_entry(name);
+  if (spec == nullptr) {
+    throw Error("suite_entry: unknown benchmark '" + name + "'");
   }
-  for (const BenchmarkSpec& spec : scaled_suite()) {
-    if (spec.name == name) return spec;
-  }
-  for (const BenchmarkSpec& spec : bit_parallel_suite()) {
-    if (spec.name == name) return spec;
-  }
-  throw Error("suite_entry: unknown benchmark '" + name + "'");
+  return *spec;
 }
 
 netlist::Netlist build_benchmark(const celllib::CellLibrary& library,
                                  const BenchmarkSpec& spec) {
-  if (spec.kind == CircuitKind::xor_chain) {
-    // 30 inverters per XOR tap: one toggle traverses PI-count segments
-    // (it cancels at the next tap of the same input), i.e. a ~64-gate
-    // cascade that the packed lanes walk together.
-    return xor_chain(library, spec.name, spec.gates, spec.primary_inputs, 30);
-  }
   RandomCircuitSpec rc;
   rc.name = spec.name;
   rc.target_gates = spec.gates;

@@ -1,11 +1,13 @@
 #pragma once
-// The Table 3 benchmark suite registry.
+// The benchmark suite registry: the Table 3 suite and the scaled tier.
 //
 // The paper reports 39 MCNC circuits (24-540 gates). The original
 // netlists are not redistributable, so each entry here is a synthetic
 // stand-in: a deterministic random multilevel circuit with the same gate
 // count, named after the MCNC circuit it substitutes (DESIGN.md Sec. 4.1).
-// Sizes follow the G column of Table 3 as far as it is legible.
+// Sizes follow the G column of Table 3 as far as it is legible. Both
+// tiers are materialised by random_circuit; find_suite_entry is the one
+// name lookup over them (tr_opt's circuit loader uses it too).
 
 #include <cstdint>
 #include <string>
@@ -15,19 +17,12 @@
 
 namespace tr::benchgen {
 
-/// Generator a suite entry is materialised with.
-enum class CircuitKind {
-  random,     ///< random_circuit: MCNC-like multilevel cell mix
-  xor_chain,  ///< xor_chain: transparency chain for the packed-lane tier
-};
-
 /// One suite entry.
 struct BenchmarkSpec {
   std::string name;  ///< MCNC circuit this stands in for
   int gates = 0;     ///< Table 3 G column
   int primary_inputs = 0;
   std::uint64_t seed = 0;  ///< derived from the name, stable across runs
-  CircuitKind kind = CircuitKind::random;
 };
 
 /// The 39-circuit suite in Table 3 order (by gate count).
@@ -40,18 +35,11 @@ const std::vector<BenchmarkSpec>& table3_suite();
 /// uncapped PI counts.
 const std::vector<BenchmarkSpec>& scaled_suite();
 
-/// The bit-parallel tier: deep, narrow transparency chains (2 primary
-/// inputs, 2000-8000 gates, bp2000 … bp8000) shaped for the packed
-/// 64-lane Monte-Carlo path (sim/bitsim.hpp) — with few input processes
-/// ~32 replication lanes toggle the same input each round, and because
-/// every chain stage is flip-transparent (inverters, XOR taps) the
-/// packed lane masks stay dense along the whole cascade instead of
-/// fragmenting as in random logic. BENCH_sim measures the packed vs
-/// scalar replication throughput on this tier and CI gates on it.
-const std::vector<BenchmarkSpec>& bit_parallel_suite();
+/// Looks a spec up by name across table3_suite and scaled_suite;
+/// nullptr when absent.
+const BenchmarkSpec* find_suite_entry(const std::string& name);
 
-/// Looks a spec up by name across table3_suite, scaled_suite and
-/// bit_parallel_suite; throws tr::Error when absent.
+/// Same lookup; throws tr::Error when absent.
 const BenchmarkSpec& suite_entry(const std::string& name);
 
 /// Materialises a suite entry as a mapped netlist.

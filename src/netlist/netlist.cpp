@@ -103,7 +103,9 @@ std::vector<NetId> Netlist::primary_outputs() const {
 void Netlist::set_config(GateId id, gategraph::GateTopology config) {
   require(id >= 0 && id < gate_count(), "Netlist::set_config: bad id");
   GateInst& inst = gates_[static_cast<std::size_t>(id)];
-  require(config.output_function() == inst.config.output_function(),
+  // add_gate seeds `config` with the cell's topology and this is the only
+  // writer, so the current function is always the cell's cached one.
+  require(config.output_function() == library_->cell(inst.cell).function(),
           "Netlist::set_config: configuration changes the logic function "
           "of '", inst.name, "'");
   inst.config = std::move(config);

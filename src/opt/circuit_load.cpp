@@ -21,16 +21,6 @@ bool is_classic(const std::string& name) {
   return false;
 }
 
-const benchgen::BenchmarkSpec* find_suite_entry(const std::string& name) {
-  for (const auto& spec : benchgen::table3_suite()) {
-    if (spec.name == name) return &spec;
-  }
-  for (const auto& spec : benchgen::scaled_suite()) {
-    if (spec.name == name) return &spec;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::vector<std::string> suite_circuit_specs(const std::string& suite) {
@@ -55,7 +45,7 @@ std::vector<std::string> suite_circuit_specs(const std::string& suite) {
 }
 
 bool is_embedded_spec(const std::string& spec) {
-  return is_classic(spec) || find_suite_entry(spec) != nullptr;
+  return is_classic(spec) || benchgen::find_suite_entry(spec) != nullptr;
 }
 
 netlist::Netlist load_circuit_spec(const std::string& spec,
@@ -65,7 +55,8 @@ netlist::Netlist load_circuit_spec(const std::string& spec,
         netlist::read_blif_logic_string(benchgen::classic_blif(spec), spec);
     return mapper::map_network(logic, library);
   }
-  if (const benchgen::BenchmarkSpec* entry = find_suite_entry(spec)) {
+  if (const benchgen::BenchmarkSpec* entry =
+          benchgen::find_suite_entry(spec)) {
     return benchgen::build_benchmark(library, *entry);
   }
   if (spec.ends_with(".blif")) {

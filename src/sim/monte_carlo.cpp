@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 
-#include "sim/bitsim.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -92,43 +90,22 @@ struct Accumulators {
 /// reuses one thread-local ReplicationScratch across every replication
 /// it runs, so steady-state replication does not allocate
 /// (DESIGN.md Sec. 10.2).
-void run_batch(const SimEngine& engine, const BitSim* bitsim,
-               util::ThreadPool& pool, std::uint64_t master_seed,
-               std::size_t first, std::size_t count, Accumulators& acc,
+void run_batch(const SimEngine& engine, util::ThreadPool& pool,
+               std::uint64_t master_seed, std::size_t first,
+               std::size_t count, Accumulators& acc,
                std::vector<SimResult>& results) {
   if (results.size() < count) results.resize(count);
-  // Per-replicate poll on top of the engines' in-loop polls, so a
+  // Per-replicate poll on top of the engine's in-loop poll, so a
   // cancelled session stops between replications without finishing the
   // batch. Replications are discarded wholesale on unwind — the fold
   // below never runs — so no partial summary can be observed.
   const util::CancellationToken& cancel = engine.options().cancel;
   const bool cancellable = cancel.valid();
-  std::size_t tail_first = 0;
-  if (bitsim) {
-    // Full 64-replicate groups run packed, one BitSim run per group;
-    // lane k of group w is replicate first + w*64 + k, seeded with
-    // exactly the stream the scalar route would use, so the fold below
-    // sees bit-identical results either way.
-    const std::size_t lanes = static_cast<std::size_t>(BitSim::lane_count);
-    const std::size_t groups = count / lanes;
-    tail_first = groups * lanes;
-    pool.parallel_for(groups, [&](std::size_t w) {
-      if (cancellable) cancel.check("monte_carlo");
-      thread_local BitSimScratch packed;
-      std::uint64_t seeds[BitSim::lane_count];
-      Rng::derive_streams(master_seed, first + w * lanes, seeds, lanes);
-      bitsim->run(seeds, packed);
-      for (int k = 0; k < BitSim::lane_count; ++k) {
-        bitsim->extract_lane(packed, k,
-                             results[w * lanes + static_cast<std::size_t>(k)]);
-      }
-    });
-  }
-  pool.parallel_for(count - tail_first, [&](std::size_t i) {
+  pool.parallel_for(count, [&](std::size_t i) {
     if (cancellable) cancel.check("monte_carlo");
     thread_local ReplicationScratch scratch;
-    engine.run(Rng::derive_stream(master_seed, first + tail_first + i),
-               scratch, results[tail_first + i]);
+    engine.run(Rng::derive_stream(master_seed, first + i), scratch,
+               results[i]);
   });
   for (std::size_t i = 0; i < count; ++i) acc.add(results[i]);
 }
@@ -151,29 +128,6 @@ SimSummary monte_carlo_impl(const SimEngine& engine,
             "monte_carlo: max_replications must be >= replications");
   }
 
-  // Packing decision: deterministic in the options alone (never in the
-  // thread count or batch outcomes), so packed and scalar sessions stay
-  // reproducible. `automatic` packs only when some batch can actually
-  // form a full 64-lane group.
-  std::optional<BitSim> bitsim;
-  switch (options.packing) {
-    case PackingMode::scalar:
-      break;
-    case PackingMode::packed:
-      require(BitSim::supported(engine),
-              "monte_carlo: packed replication requires the zero- or "
-              "unit-delay model with the simulation fast path available");
-      bitsim.emplace(engine);
-      break;
-    case PackingMode::automatic:
-      if (BitSim::supported(engine) &&
-          (options.replications >= BitSim::lane_count ||
-           (adaptive && options.batch_size >= BitSim::lane_count))) {
-        bitsim.emplace(engine);
-      }
-      break;
-  }
-
   const auto wall_start = std::chrono::steady_clock::now();
   util::ThreadPool local_pool(pool ? 1 : options.threads);
   util::ThreadPool& workers = pool ? *pool : local_pool;
@@ -182,7 +136,7 @@ SimSummary monte_carlo_impl(const SimEngine& engine,
   Accumulators acc;
   std::vector<SimResult> results;
   std::size_t next = 0;
-  run_batch(engine, bitsim ? &*bitsim : nullptr, workers, master_seed, next,
+  run_batch(engine, workers, master_seed, next,
             static_cast<std::size_t>(options.replications), acc, results);
   next += static_cast<std::size_t>(options.replications);
 
@@ -199,8 +153,7 @@ SimSummary monte_carlo_impl(const SimEngine& engine,
     while (!target_reached && next < cap) {
       const std::size_t batch =
           std::min(static_cast<std::size_t>(options.batch_size), cap - next);
-      run_batch(engine, bitsim ? &*bitsim : nullptr, workers, master_seed,
-                next, batch, acc, results);
+      run_batch(engine, workers, master_seed, next, batch, acc, results);
       next += batch;
       target_reached = met();
     }

@@ -2,8 +2,9 @@
 // Replicated Monte-Carlo simulation with confidence intervals
 // (DESIGN.md Sec. 8.2).
 //
-// N independent replications of a SimEngine run across a
-// util::ThreadPool; replicate k is driven by the seed stream
+// N independent replications of SimEngine::run (the library's one event
+// loop, one replication per call) across a util::ThreadPool; replicate k
+// is driven by the seed stream
 // Rng::derive_stream(master_seed, k), and the Welford reduction into the
 // summary always happens in replicate-index order, so a SimSummary is
 // bit-identical for 1 and N worker threads. An optional early-stop mode
@@ -29,16 +30,6 @@
 
 namespace tr::sim {
 
-/// Replication packing selection. `automatic` routes full 64-replicate
-/// groups through the bit-parallel lane (sim/bitsim.hpp) whenever the
-/// engine supports it (zero- or unit-delay model, fast path available)
-/// and the batch shape makes packing worthwhile; the explicit values pin
-/// one route for differential tests (`packed` throws when the engine
-/// cannot be packed). The choice never affects the estimates — packed
-/// and scalar replications are bit-identical replicate by replicate —
-/// only wall time.
-enum class PackingMode : std::uint8_t { automatic, packed, scalar };
-
 struct MonteCarloOptions {
   /// Per-replication simulation options; `sim.seed` is the master seed
   /// every replicate stream derives from.
@@ -56,8 +47,6 @@ struct MonteCarloOptions {
   int batch_size = 8;
   /// Hard cap on replications in early-stop mode.
   int max_replications = 256;
-  /// Bit-parallel replication routing (see PackingMode).
-  PackingMode packing = PackingMode::automatic;
 };
 
 /// Mean/spread of one net's observed statistics across replications.

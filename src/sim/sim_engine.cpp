@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <queue>
 
+#include "boolfn/truth_table.hpp"
 #include "celllib/cell.hpp"
 #include "delay/elmore.hpp"
 #include "gategraph/gate_graph.hpp"
@@ -17,61 +17,6 @@ using gategraph::GateGraph;
 using netlist::GateId;
 using netlist::NetId;
 
-namespace {
-
-/// Padded reference event — kept byte-for-byte as before the hot-path
-/// rewrite; the compact replacement is EventScheduler's 16-byte key +
-/// 4-byte payload (DESIGN.md Sec. 10.1).
-struct Event {
-  double time = 0.0;
-  /// Topological level of the driven net (0 for primary inputs).
-  /// Events at identical times process in level order (delta-cycle
-  /// levelization), which makes the zero-delay mode glitch-free: a gate
-  /// re-evaluates only after all same-instant fan-in updates have
-  /// settled, so only functionally required transitions commit.
-  int level = 0;
-  std::uint64_t seq = 0;  ///< FIFO tie-break within a level
-  enum class Kind : std::uint8_t { pi_toggle, gate_commit } kind = Kind::pi_toggle;
-  int index = 0;  ///< NetId for pi_toggle, GateId for gate_commit
-  bool value = false;
-  std::uint64_t version = 0;  ///< gate_commit validity check
-
-  bool operator>(const Event& rhs) const {
-    if (time != rhs.time) return time > rhs.time;
-    if (level != rhs.level) return level > rhs.level;
-    return seq > rhs.seq;
-  }
-};
-
-/// Per-gate mutable state of one reference replication.
-struct GateState {
-  std::uint64_t input_minterm = 0;
-  std::vector<bool> internal_state;
-  /// Inertial-delay bookkeeping: a scheduled commit is valid only if its
-  /// version matches.
-  std::uint64_t version = 0;
-  bool has_pending = false;
-  bool pending_value = false;
-};
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Fills the wall-clock diagnostics, the only SimResult fields that are
-/// not a pure function of the seed.
-void stamp_diagnostics(SimResult& result, double elapsed,
-                       std::size_t scratch_bytes) {
-  result.elapsed_seconds = elapsed;
-  result.events_per_sec =
-      elapsed > 0.0 ? static_cast<double>(result.event_count) / elapsed : 0.0;
-  result.scratch_bytes = scratch_bytes;
-}
-
-}  // namespace
-
 std::size_t ReplicationScratch::high_water_bytes() const noexcept {
   return net_value.capacity() * sizeof(std::uint8_t) +
          net_obs.capacity() * sizeof(NetObs) +
@@ -80,264 +25,14 @@ std::size_t ReplicationScratch::high_water_bytes() const noexcept {
          scheduler.allocated_bytes();
 }
 
-/// One reference replication: the pre-rewrite event loop, retained
-/// verbatim as the differential oracle (DESIGN.md Sec. 10.5). Owns every
-/// piece of mutable simulation state and reads the engine's immutable
-/// tables; constructing and running a Replication never touches the
-/// engine, which is what makes concurrent SimEngine runs safe and
-/// thread-count independent.
-struct SimEngine::Replication {
-  Replication(const SimEngine& engine, std::uint64_t seed)
-      : e(engine), rng(seed) {}
-
-  SimResult run() {
-    initialize_state();
-    const SimOptions& options = e.options_;
-    const double t_end = options.warmup_time + options.measure_time;
-    const bool cancellable = options.cancel.valid();
-    double t_final = t_end;
-
-    while (!queue.empty()) {
-      const Event ev = queue.top();
-      if (ev.time > t_end) break;
-      if (result.event_count >= options.max_events) {
-        // Runaway guard (oscillation or pathological configuration):
-        // stop and report the partial window instead of silently
-        // pretending the full window was measured.
-        result.truncated = true;
-        t_final = last_event_time;
-        break;
-      }
-      queue.pop();
-      ++result.event_count;
-      // Same polling period as FastRun so both loops cancel within the
-      // same bounded event lag (DESIGN.md Sec. 12.3).
-      if (cancellable && (result.event_count & 8191u) == 0) {
-        options.cancel.check("simulate");
-      }
-      last_event_time = ev.time;
-      if (ev.kind == Event::Kind::pi_toggle) {
-        handle_pi_toggle(ev);
-      } else {
-        handle_gate_commit(ev);
-      }
-    }
-
-    finalize(t_final);
-    return std::move(result);
-  }
-
-private:
-  void initialize_state() {
-    const int n = e.netlist_.net_count();
-    net_value.assign(static_cast<std::size_t>(n), false);
-    last_change.assign(static_cast<std::size_t>(n), 0.0);
-    ones_time.assign(static_cast<std::size_t>(n), 0.0);
-    transitions.assign(static_cast<std::size_t>(n), 0);
-    gate_state.resize(e.gates_.size());
-    result.per_gate_energy.assign(
-        static_cast<std::size_t>(e.netlist_.gate_count()), 0.0);
-    result.per_gate_output_energy.assign(
-        static_cast<std::size_t>(e.netlist_.gate_count()), 0.0);
-
-    // Initial PI values are equilibrium draws, in the fixed pi_order_ so
-    // the RNG stream is identical for every replication index scheme.
-    for (NetId id : e.pi_order_) {
-      net_value[static_cast<std::size_t>(id)] =
-          rng.bernoulli(e.pi_[static_cast<std::size_t>(id)].prob);
-    }
-
-    // Steady-state logic values from the initial PI assignment.
-    for (GateId g : e.topo_order_) {
-      const netlist::GateInst& inst = e.netlist_.gate(g);
-      const GateTables& tables = e.gates_[static_cast<std::size_t>(g)];
-      GateState& st = gate_state[static_cast<std::size_t>(g)];
-      std::uint64_t minterm = 0;
-      for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-        if (net_value[static_cast<std::size_t>(inst.inputs[pin])]) {
-          minterm |= 1ULL << pin;
-        }
-      }
-      st.input_minterm = minterm;
-      net_value[static_cast<std::size_t>(inst.output)] =
-          tables.output_fn.value_at(minterm);
-      st.internal_state.assign(tables.h_fns.size(), false);
-      for (std::size_t k = 0; k < tables.h_fns.size(); ++k) {
-        // Undriven nodes start discharged; any driven node takes its
-        // rail value.
-        st.internal_state[k] = tables.h_fns[k].value_at(minterm);
-      }
-    }
-
-    // Seed PI toggle events.
-    for (NetId id : e.pi_order_) schedule_pi_toggle(id, 0.0);
-  }
-
-  void schedule_pi_toggle(NetId id, double now) {
-    const PiProcess& p = e.pi_[static_cast<std::size_t>(id)];
-    const bool current = net_value[static_cast<std::size_t>(id)];
-    const double rate = current ? p.rate_down : p.rate_up;
-    if (rate <= 0.0) return;  // frozen input
-    Event ev;
-    ev.time = now + rng.exponential(rate);
-    ev.level = 0;
-    ev.seq = next_seq++;
-    ev.kind = Event::Kind::pi_toggle;
-    ev.index = id;
-    ev.value = !current;
-    queue.push(ev);
-  }
-
-  void handle_pi_toggle(const Event& ev) {
-    const NetId net = ev.index;
-    TR_ASSERT(net_value[static_cast<std::size_t>(net)] != ev.value);
-    record_net_change(net, ev.time);
-    net_value[static_cast<std::size_t>(net)] = ev.value;
-    if (ev.time >= e.options_.warmup_time && e.options_.count_pi_energy) {
-      const double energy = e.tech_.energy_per_transition(
-          e.pi_[static_cast<std::size_t>(net)].load_cap);
-      result.pi_energy += energy;
-      result.energy += energy;
-    }
-    propagate_net_change(net, ev.time);
-    schedule_pi_toggle(net, ev.time);
-  }
-
-  void handle_gate_commit(const Event& ev) {
-    GateState& st = gate_state[static_cast<std::size_t>(ev.index)];
-    if (!st.has_pending || ev.version != st.version) return;  // cancelled
-    st.has_pending = false;
-    const NetId net = e.netlist_.gate(ev.index).output;
-    if (net_value[static_cast<std::size_t>(net)] == ev.value) return;
-    record_net_change(net, ev.time);
-    net_value[static_cast<std::size_t>(net)] = ev.value;
-    if (ev.time >= e.options_.warmup_time) {
-      const double energy = e.tech_.energy_per_transition(
-          e.gates_[static_cast<std::size_t>(ev.index)].output_cap);
-      result.output_node_energy += energy;
-      result.energy += energy;
-      result.per_gate_energy[static_cast<std::size_t>(ev.index)] += energy;
-      result.per_gate_output_energy[static_cast<std::size_t>(ev.index)] +=
-          energy;
-    }
-    propagate_net_change(net, ev.time);
-  }
-
-  void propagate_net_change(NetId net, double now) {
-    for (const auto& [gate, pin] : e.netlist_.net(net).fanouts) {
-      GateState& st = gate_state[static_cast<std::size_t>(gate)];
-      st.input_minterm ^= 1ULL << pin;
-      update_internal_nodes(gate, st, now);
-      evaluate_output(gate, st, pin, now);
-    }
-  }
-
-  void update_internal_nodes(GateId gate, GateState& st, double now) {
-    const GateTables& tables = e.gates_[static_cast<std::size_t>(gate)];
-    for (std::size_t k = 0; k < tables.h_fns.size(); ++k) {
-      const bool h = tables.h_fns[k].value_at(st.input_minterm);
-      const bool g = tables.g_fns[k].value_at(st.input_minterm);
-      TR_ASSERT(!(h && g));  // no rail-to-rail short
-      const bool next = h ? true : (g ? false : st.internal_state[k]);
-      if (next != st.internal_state[k]) {
-        st.internal_state[k] = next;
-        if (now >= e.options_.warmup_time) {
-          const double energy =
-              e.tech_.energy_per_transition(tables.internal_caps[k]);
-          result.internal_node_energy += energy;
-          result.energy += energy;
-          result.per_gate_energy[static_cast<std::size_t>(gate)] += energy;
-        }
-      }
-    }
-  }
-
-  void evaluate_output(GateId gate, GateState& st, int pin, double now) {
-    const GateTables& tables = e.gates_[static_cast<std::size_t>(gate)];
-    const bool steady = tables.output_fn.value_at(st.input_minterm);
-    const NetId out = e.netlist_.gate(gate).output;
-    const bool target = st.has_pending
-                            ? st.pending_value
-                            : net_value[static_cast<std::size_t>(out)];
-    if (steady == target) {
-      // Inertial filtering: a pending pulse shorter than the gate delay is
-      // swallowed by cancelling the scheduled commit.
-      if (st.has_pending && st.pending_value != steady) {
-        st.has_pending = false;
-        ++st.version;
-      }
-      return;
-    }
-    ++st.version;
-    st.has_pending = true;
-    st.pending_value = steady;
-    Event ev;
-    ev.time = now + tables.pin_delay[static_cast<std::size_t>(pin)];
-    ev.level = tables.level;
-    ev.seq = next_seq++;
-    ev.kind = Event::Kind::gate_commit;
-    ev.index = gate;
-    ev.value = steady;
-    ev.version = st.version;
-    queue.push(ev);
-  }
-
-  void record_net_change(NetId net, double now) {
-    const double start = e.options_.warmup_time;
-    if (now > start) {
-      const double from = last_change[static_cast<std::size_t>(net)] > start
-                              ? last_change[static_cast<std::size_t>(net)]
-                              : start;
-      if (net_value[static_cast<std::size_t>(net)]) {
-        ones_time[static_cast<std::size_t>(net)] += now - from;
-      }
-      ++transitions[static_cast<std::size_t>(net)];
-    }
-    last_change[static_cast<std::size_t>(net)] = now;
-  }
-
-  void finalize(double t_final) {
-    result.nets.resize(static_cast<std::size_t>(e.netlist_.net_count()));
-    const double start = e.options_.warmup_time;
-    const double window = std::max(0.0, t_final - start);
-    result.measured_time = window;
-    for (NetId id = 0; id < e.netlist_.net_count(); ++id) {
-      const std::size_t v = static_cast<std::size_t>(id);
-      double ones = ones_time[v];
-      if (net_value[v] && t_final > start) {
-        const double from = last_change[v] > start ? last_change[v] : start;
-        ones += t_final - from;
-      }
-      result.nets[v].prob = window > 0.0 ? ones / window : 0.0;
-      result.nets[v].density =
-          window > 0.0 ? static_cast<double>(transitions[v]) / window : 0.0;
-    }
-    result.power = window > 0.0 ? result.energy / window : 0.0;
-  }
-
-  const SimEngine& e;
-  Rng rng;
-
-  std::vector<GateState> gate_state;
-  std::vector<bool> net_value;
-  std::vector<double> last_change;
-  std::vector<double> ones_time;
-  std::vector<std::uint64_t> transitions;
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
-  std::uint64_t next_seq = 0;
-  double last_event_time = 0.0;
-  SimResult result;
-};
-
-/// The rewritten hot path (DESIGN.md Sec. 10.2): same algorithm, same
-/// RNG draw order, same floating-point accumulation order as the
-/// reference Replication above — pinned bit-identical by the
-/// differential suite — but running entirely on the engine's flat
+/// The event loop (DESIGN.md Sec. 10.2): same algorithm, same RNG draw
+/// order, same floating-point accumulation order as the pre-rewrite
+/// reference loop (tests/oracle/reference_sim.hpp) — pinned bit-identical
+/// by the differential suite — but running entirely on the engine's flat
 /// structure-of-arrays tables, the scratch's byte arenas and the indexed
 /// event scheduler.
-struct SimEngine::FastRun {
-  FastRun(const SimEngine& engine, ReplicationScratch& scratch,
+struct SimEngine::EventLoop {
+  EventLoop(const SimEngine& engine, ReplicationScratch& scratch,
           SimResult& out, std::uint64_t seed)
       : e(engine), s(scratch), result(out), rng(seed) {}
 
@@ -397,8 +92,8 @@ private:
     result.truncated = false;
     result.measured_time = 0.0;
 
-    // Initial PI values are equilibrium draws, in the fixed pi_order_
-    // (identical RNG stream to the reference loop).
+    // Initial PI values are equilibrium draws, in the fixed pi_order_,
+    // so the RNG stream is identical for every replication index scheme.
     for (NetId id : e.pi_order_) {
       s.net_value[static_cast<std::size_t>(id)] =
           rng.bernoulli(e.pi_[static_cast<std::size_t>(id)].prob) ? 1 : 0;
@@ -518,11 +213,13 @@ private:
         }
       }
 
-      // Output evaluation with inertial filtering: identical decision
-      // tree to the reference loop's evaluate_output (whose explicit
-      // cancel branch is unreachable — when a commit is pending, target
-      // IS the pending value, so steady == target implies the pending
-      // commit already drives toward steady and stays valid).
+      // Output evaluation with inertial filtering: a pulse shorter than
+      // the gate delay is swallowed because the commit is re-targeted
+      // (same decision tree as the reference loop's evaluate_output,
+      // whose explicit cancel branch is unreachable — when a commit is
+      // pending, target IS the pending value, so steady == target
+      // implies the pending commit already drives toward steady and
+      // stays valid).
       const std::uint8_t steady =
           static_cast<std::uint8_t>((hot.out_fn >> minterm) & 1u);
       const std::uint8_t target =
@@ -595,9 +292,8 @@ SimEngine::SimEngine(const netlist::Netlist& netlist,
     require(options_.unit_delay > 0.0, "switch_sim: unit_delay must be > 0");
   }
   topo_order_ = netlist_.topological_order();
-  build_gates();
   build_pis(pi_stats);
-  build_flat();
+  build_gates();
 }
 
 SimEngine::SimEngine(const netlist::Netlist& netlist,
@@ -605,51 +301,6 @@ SimEngine::SimEngine(const netlist::Netlist& netlist,
                      const celllib::Tech& tech, const SimOptions& options)
     : SimEngine(netlist, PiStatsTable(netlist.net_count(), pi_stats), tech,
                 options) {}
-
-void SimEngine::build_gates() {
-  // Net levelization for the delta-cycle event ordering.
-  std::vector<int> net_level(static_cast<std::size_t>(netlist_.net_count()),
-                             0);
-  for (GateId g : topo_order_) {
-    const netlist::GateInst& inst = netlist_.gate(g);
-    int level = 0;
-    for (NetId in : inst.inputs) {
-      level = std::max(level, net_level[static_cast<std::size_t>(in)]);
-    }
-    net_level[static_cast<std::size_t>(inst.output)] = level + 1;
-  }
-
-  gates_.reserve(static_cast<std::size_t>(netlist_.gate_count()));
-  for (GateId g = 0; g < netlist_.gate_count(); ++g) {
-    const netlist::GateInst& inst = netlist_.gate(g);
-    const GateGraph graph(inst.config);
-    const std::vector<double> caps = celllib::node_capacitances(
-        graph, tech_, netlist_.external_load(g, tech_));
-
-    GateTables tables;
-    tables.output_fn = inst.config.output_function();
-    for (int k = 0; k < graph.internal_node_count(); ++k) {
-      const int node = GateGraph::first_internal_node + k;
-      tables.h_fns.push_back(graph.h_function(node));
-      tables.g_fns.push_back(graph.g_function(node));
-      tables.internal_caps.push_back(caps[static_cast<std::size_t>(node)]);
-    }
-    tables.output_cap = caps[GateGraph::output_node];
-    switch (delay_model_) {
-      case DelayModel::elmore:
-        tables.pin_delay = delay::gate_delays(graph, caps, tech_).pin_delay;
-        break;
-      case DelayModel::unit:
-        tables.pin_delay.assign(inst.inputs.size(), options_.unit_delay);
-        break;
-      default:  // zero-delay (automatic already resolved)
-        tables.pin_delay.assign(inst.inputs.size(), 0.0);
-        break;
-    }
-    tables.level = net_level[static_cast<std::size_t>(inst.output)];
-    gates_.push_back(std::move(tables));
-  }
-}
 
 void SimEngine::build_pis(const PiStatsTable& pi_stats) {
   pi_.resize(static_cast<std::size_t>(netlist_.net_count()));
@@ -670,67 +321,100 @@ void SimEngine::build_pis(const PiStatsTable& pi_stats) {
       pi_rate_sum_ += s->density;  // equilibrium toggle rate of this PI
     }
     p.prob = s->prob;
-    p.load_cap = tech_.c_wire;
+    double load_cap = tech_.c_wire;
     for (const auto& [fan_gate, pin] : netlist_.net(id).fanouts) {
-      p.load_cap += netlist_.library()
-                        .cell(netlist_.gate(fan_gate).cell)
-                        .pin_capacitance(tech_, pin);
+      load_cap += netlist_.library()
+                      .cell(netlist_.gate(fan_gate).cell)
+                      .pin_capacitance(tech_, pin);
     }
-    p.energy = tech_.energy_per_transition(p.load_cap);
+    p.energy = tech_.energy_per_transition(load_cap);
     pi_[static_cast<std::size_t>(id)] = p;
   }
 }
 
-void SimEngine::build_flat() {
-  const std::size_t gates = gates_.size();
+void SimEngine::build_gates() {
+  const std::size_t gates = static_cast<std::size_t>(netlist_.gate_count());
   const std::size_t nets = static_cast<std::size_t>(netlist_.net_count());
 
   // Encoding limits of the packed 16-byte event (DESIGN.md Sec. 10.1):
   // single-word truth tables (<= 6 input pins, and <= 8 for the arc
-  // packing), levels in 16 bits, ids in 31. Wider circuits keep working
-  // through the reference loop.
-  fast_ok_ = netlist_.gate_count() < (1 << 28) &&
-             netlist_.net_count() < (1 << 28);
-  for (const GateTables& tables : gates_) {
-    if (tables.output_fn.var_count() > 6 || tables.level > EventScheduler::max_level) {
-      fast_ok_ = false;
+  // packing), levels in 16 bits, ids in 28. A circuit outside them is
+  // refused here, before any table is built.
+  require(gates < (std::size_t{1} << 28) && nets < (std::size_t{1} << 28),
+          "switch_sim: ", gates, " gates / ", nets,
+          " nets exceed the simulator's 2^28 id range");
+  // Net levelization for the delta-cycle event ordering.
+  std::vector<int> net_level(nets, 0);
+  for (GateId g : topo_order_) {
+    const netlist::GateInst& inst = netlist_.gate(g);
+    require(inst.inputs.size() <= 6, "switch_sim: gate '", inst.name,
+            "' (cell ", inst.cell, ") has ", inst.inputs.size(),
+            " inputs; the simulator supports at most 6");
+    int level = 0;
+    for (NetId in : inst.inputs) {
+      level = std::max(level, net_level[static_cast<std::size_t>(in)]);
     }
+    require(level < EventScheduler::max_level, "switch_sim: gate '",
+            inst.name, "' sits at level ", level + 1,
+            "; the simulator supports at most ", EventScheduler::max_level,
+            " levels");
+    net_level[static_cast<std::size_t>(inst.output)] = level + 1;
   }
-  if (!fast_ok_) return;
 
+  // Per-gate tables: functions and energies into the flat arrays, pin
+  // delays into a per-input-pin array the arcs below pick up.
   flat_gate_.resize(gates);
   flat_in_off_.assign(gates + 1, 0);
-  std::uint32_t node_count = 0;
   for (std::size_t gi = 0; gi < gates; ++gi) {
-    const GateTables& tables = gates_[gi];
-    const netlist::GateInst& inst = netlist_.gate(static_cast<GateId>(gi));
-    GateHot& hot = flat_gate_[gi];
-    hot.out_fn =
-        tables.output_fn.words().empty() ? 0 : tables.output_fn.words()[0];
-    hot.level_order = static_cast<std::uint64_t>(tables.level)
-                      << EventScheduler::seq_bits;
-    hot.node_begin = node_count;
-    node_count += static_cast<std::uint32_t>(tables.h_fns.size());
-    hot.node_end = node_count;
-    hot.out_net = inst.output;
-    hot.out_energy = tech_.energy_per_transition(tables.output_cap);
     flat_in_off_[gi + 1] =
-        flat_in_off_[gi] + static_cast<std::uint32_t>(inst.inputs.size());
+        flat_in_off_[gi] +
+        static_cast<std::uint32_t>(
+            netlist_.gate(static_cast<GateId>(gi)).inputs.size());
   }
-
-  flat_node_.resize(node_count);
   flat_in_net_.resize(flat_in_off_[gates]);
+  std::vector<double> pin_delay(flat_in_off_[gates]);
   for (std::size_t gi = 0; gi < gates; ++gi) {
-    const GateTables& tables = gates_[gi];
     const netlist::GateInst& inst = netlist_.gate(static_cast<GateId>(gi));
-    for (std::size_t k = 0; k < tables.h_fns.size(); ++k) {
-      NodeHot& node = flat_node_[flat_gate_[gi].node_begin + k];
-      node.h_fn = tables.h_fns[k].words()[0];
-      node.g_fn = tables.g_fns[k].words()[0];
-      node.energy = tech_.energy_per_transition(tables.internal_caps[k]);
+    const GateGraph graph(inst.config);
+    const std::vector<double> caps = celllib::node_capacitances(
+        graph, tech_, netlist_.external_load(static_cast<GateId>(gi), tech_));
+
+    GateHot& hot = flat_gate_[gi];
+    const boolfn::TruthTable output_fn = inst.config.output_function();
+    hot.out_fn = output_fn.words().empty() ? 0 : output_fn.words()[0];
+    hot.level_order = static_cast<std::uint64_t>(
+                          net_level[static_cast<std::size_t>(inst.output)])
+                      << EventScheduler::seq_bits;
+    hot.node_begin = static_cast<std::uint32_t>(flat_node_.size());
+    for (int k = 0; k < graph.internal_node_count(); ++k) {
+      const int node = GateGraph::first_internal_node + k;
+      flat_node_.push_back(
+          {graph.h_function(node).words()[0], graph.g_function(node).words()[0],
+           tech_.energy_per_transition(caps[static_cast<std::size_t>(node)])});
     }
+    hot.node_end = static_cast<std::uint32_t>(flat_node_.size());
+    hot.out_net = inst.output;
+    hot.out_energy =
+        tech_.energy_per_transition(caps[GateGraph::output_node]);
+
+    const std::uint32_t in_begin = flat_in_off_[gi];
     for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-      flat_in_net_[flat_in_off_[gi] + pin] = inst.inputs[pin];
+      flat_in_net_[in_begin + pin] = inst.inputs[pin];
+    }
+    switch (delay_model_) {
+      case DelayModel::elmore: {
+        const std::vector<double> delays =
+            delay::gate_delays(graph, caps, tech_).pin_delay;
+        std::copy(delays.begin(), delays.end(),
+                  pin_delay.begin() + in_begin);
+        break;
+      }
+      case DelayModel::unit:
+        std::fill_n(pin_delay.begin() + in_begin, inst.inputs.size(),
+                    options_.unit_delay);
+        break;
+      default:  // zero-delay (automatic already resolved)
+        break;
     }
   }
 
@@ -747,8 +431,9 @@ void SimEngine::build_flat() {
   for (std::size_t v = 0; v < nets; ++v) {
     std::uint32_t a = flat_arc_off_[v];
     for (const auto& [gate, pin] : netlist_.net(static_cast<NetId>(v)).fanouts) {
-      flat_arc_[a].delay = gates_[static_cast<std::size_t>(gate)]
-                               .pin_delay[static_cast<std::size_t>(pin)];
+      flat_arc_[a].delay =
+          pin_delay[flat_in_off_[static_cast<std::size_t>(gate)] +
+                    static_cast<std::size_t>(pin)];
       flat_arc_[a].gate_pin = (static_cast<std::uint32_t>(gate) << 3) |
                               static_cast<std::uint32_t>(pin);
       ++a;
@@ -797,21 +482,16 @@ void SimEngine::run(std::uint64_t seed, ReplicationScratch& scratch,
                     SimResult& result) const {
   if (util::fault::enabled()) util::fault::check("sim.replicate");
   const auto start = std::chrono::steady_clock::now();
-  if (!fast_ok_) {
-    result = Replication(*this, seed).run();
-    stamp_diagnostics(result, seconds_since(start), 0);
-    return;
-  }
-  FastRun(*this, scratch, result, seed).run();
-  stamp_diagnostics(result, seconds_since(start),
-                    scratch.high_water_bytes());
-}
-
-SimResult SimEngine::run_reference(std::uint64_t seed) const {
-  const auto start = std::chrono::steady_clock::now();
-  SimResult result = Replication(*this, seed).run();
-  stamp_diagnostics(result, seconds_since(start), 0);
-  return result;
+  EventLoop(*this, scratch, result, seed).run();
+  // The wall-clock diagnostics, the only SimResult fields that are not a
+  // pure function of the seed.
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  result.elapsed_seconds = elapsed;
+  result.events_per_sec =
+      elapsed > 0.0 ? static_cast<double>(result.event_count) / elapsed : 0.0;
+  result.scratch_bytes = scratch.high_water_bytes();
 }
 
 }  // namespace tr::sim

@@ -1,34 +1,33 @@
 #pragma once
 // Reusable switch-level simulation engine (DESIGN.md Sec. 8.1; hot-path
-// architecture Sec. 10).
+// architecture Sec. 10) — the library's one event loop.
 //
 // Construction does all the per-netlist work once — net levelization,
-// per-gate H/G path tables, node capacitances, Elmore pin delays, the
-// CTMC rates of every primary-input process — and additionally flattens
-// everything the event loop touches into structure-of-arrays tables:
-// single-word truth tables, CSR fanout arcs with per-arc delays,
-// per-node transition energies. After that the engine is immutable;
-// `run(seed)` executes one independent replication whose mutable state
-// lives in a ReplicationScratch (byte-valued net state, one contiguous
+// per-gate H/G path functions, node capacitances, Elmore pin delays, the
+// CTMC rates of every primary-input process — and flattens everything
+// the event loop touches into structure-of-arrays tables: single-word
+// truth tables, CSR fanout arcs with per-arc delays, per-node transition
+// energies. After that the engine is immutable; `run(seed)` executes one
+// independent replication whose mutable state lives in a
+// ReplicationScratch (byte-valued net state, one contiguous
 // internal-node arena, the indexed event scheduler), so any number of
 // replications may run concurrently on a thread pool, the result of a
 // replication is a pure function of its seed, and a scratch reused
 // across replications makes steady-state replication allocation-free.
 //
-// The pre-rewrite event loop (std::priority_queue of padded events,
-// std::vector<bool> state, per-gate node vectors) is retained verbatim
-// as `run_reference`: it is the differential oracle the rewritten hot
-// path is pinned bit-identical against (tests/test_sim_differential.cpp)
-// and the baseline the BENCH_sim speedup ratio is measured from.
-// Monte-Carlo replication with confidence intervals is layered on top in
-// sim/monte_carlo.hpp.
+// The tables use the packed event encoding (DESIGN.md Sec. 10.1): a
+// circuit with a gate wider than 6 inputs or deeper than
+// EventScheduler::max_level levels is refused at construction with an
+// invalid_argument tr::Error naming the gate. The pre-rewrite event loop
+// the engine is pinned bit-identical against lives with the tests
+// (tests/oracle/reference_sim.hpp). Monte-Carlo replication with
+// confidence intervals is layered on top in sim/monte_carlo.hpp.
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
 #include "boolfn/signal.hpp"
-#include "boolfn/truth_table.hpp"
 #include "celllib/tech.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/event_scheduler.hpp"
@@ -80,7 +79,10 @@ public:
   /// Validates the netlist and options and precomputes all simulation
   /// tables. `pi_stats` must cover every primary input; the netlist,
   /// tech and library must outlive the engine (the statistics are
-  /// copied, so `pi_stats` need not).
+  /// copied, so `pi_stats` need not). Throws tr::Error
+  /// (invalid_argument) for a circuit outside the packed event encoding:
+  /// a gate with more than 6 inputs, or more than
+  /// EventScheduler::max_level levels.
   SimEngine(const netlist::Netlist& netlist, const PiStatsTable& pi_stats,
             const celllib::Tech& tech, const SimOptions& options);
 
@@ -109,15 +111,6 @@ public:
   /// Replication with the options' own seed (the classic simulate()).
   SimResult run() const { return run(options_.seed); }
 
-  /// The retained pre-rewrite event loop — the differential oracle.
-  /// Bit-identical to run(seed) in every non-diagnostic SimResult field.
-  SimResult run_reference(std::uint64_t seed) const;
-
-  /// False when the circuit exceeds the packed-event encoding (a gate
-  /// wider than 6 inputs, more than 2^16 levels); run(seed) then
-  /// executes the reference loop, preserving results at reference speed.
-  bool fast_path_available() const noexcept { return fast_ok_; }
-
   /// The delay model actually in effect: options().delay_model with
   /// `automatic` resolved against use_gate_delays at construction.
   DelayModel resolved_delay_model() const noexcept { return delay_model_; }
@@ -126,51 +119,32 @@ public:
   const netlist::Netlist& netlist() const noexcept { return netlist_; }
 
 private:
-  /// Immutable per-gate simulation tables (reference loop).
-  struct GateTables {
-    boolfn::TruthTable output_fn{0};
-    std::vector<boolfn::TruthTable> h_fns;  ///< per internal node
-    std::vector<boolfn::TruthTable> g_fns;
-    std::vector<double> internal_caps;  ///< per internal node [F]
-    double output_cap = 0.0;            ///< diffusion + external load [F]
-    std::vector<double> pin_delay;
-    int level = 0;  ///< topological level of the output net
-  };
-
   /// Immutable continuous-time Markov input process parameters.
   struct PiProcess {
     double rate_up = 0.0;    ///< 0 -> 1 rate
     double rate_down = 0.0;  ///< 1 -> 0 rate
-    double load_cap = 0.0;   ///< wire + fanout pin capacitance [F]
     double prob = 0.0;       ///< equilibrium P(1), initial-state draw
-    double energy = 0.0;     ///< energy_per_transition(load_cap) [J]
+    double energy = 0.0;     ///< J per transition of the PI's load
   };
 
-  struct Replication;  // reference-loop mutable state (sim_engine.cpp)
-  struct FastRun;      // hot-path runner (sim_engine.cpp)
+  struct EventLoop;  // the event loop (sim_engine.cpp)
 
-  /// The bit-parallel lane (sim/bitsim.hpp) compiles its packed tables
-  /// straight from the flat hot-path tables below.
-  friend class BitSim;
-
-  void build_gates();
   void build_pis(const PiStatsTable& pi_stats);
-  void build_flat();
+  void build_gates();
 
   const netlist::Netlist& netlist_;
   const celllib::Tech& tech_;
   SimOptions options_;
   DelayModel delay_model_ = DelayModel::elmore;  ///< automatic resolved
 
-  std::vector<GateTables> gates_;           ///< indexed by GateId
   std::vector<PiProcess> pi_;               ///< indexed by NetId
   std::vector<netlist::NetId> pi_order_;    ///< PIs in RNG draw order
   std::vector<netlist::GateId> topo_order_;
 
   // Hot-path tables (DESIGN.md Sec. 10.2): flat cache-line-oriented
-  // images of gates_ / the netlist, sized so the event loop reads
-  // nothing but these arrays. Truth tables are single 64-bit words
-  // (<= 6 input pins).
+  // images of the netlist's gates, sized so the event loop reads nothing
+  // but these arrays. Truth tables are single 64-bit words (<= 6 input
+  // pins).
   struct GateHot {
     std::uint64_t out_fn = 0;       ///< output function, minterm-indexed
     std::uint64_t level_order = 0;  ///< net level << EventScheduler::seq_bits
@@ -189,7 +163,6 @@ private:
     std::uint32_t gate_pin = 0;    ///< gate << 3 | pin
   };
 
-  bool fast_ok_ = false;
   std::vector<GateHot> flat_gate_;           ///< per gate
   std::vector<NodeHot> flat_node_;           ///< per node (CSR via GateHot)
   std::vector<std::uint32_t> flat_in_off_;   ///< [gates+1] input CSR

@@ -5,9 +5,9 @@
 //
 // This header holds the options/result types, the flat primary-input
 // statistics table and the single-replication entry point. The event
-// loop itself lives in sim/sim_engine.hpp (`SimEngine`), which
-// precomputes the per-netlist tables once and can run any number of
-// independent replications; sim/monte_carlo.hpp runs replicated parallel
+// loop itself — the library's only one — lives in sim/sim_engine.hpp
+// (`SimEngine`), which precomputes the per-netlist tables once and can
+// run any number of independent replications; sim/monte_carlo.hpp runs replicated parallel
 // simulations with confidence intervals on top of it (DESIGN.md Sec. 8;
 // the hot-path architecture — scheduler, arenas, scratch reuse — is
 // Sec. 10).
@@ -51,10 +51,10 @@ enum class SchedulerKind : std::uint8_t { automatic, calendar, heap };
 
 /// Commit-delay model selection. `automatic` preserves the legacy
 /// `use_gate_delays` flag (true = elmore, false = zero); the explicit
-/// values override it. `zero` (glitch-free, delta-cycle levelized) and
-/// `unit` (uniform per-arc delay, glitches retained) are the two models
-/// the bit-parallel Monte-Carlo lane (sim/bitsim.hpp) accepts; `elmore`
-/// keeps the per-pin delay-accurate scalar path.
+/// values override it. `elmore` (per-pin, delay-accurate) is what the
+/// paper's column S uses; `zero` (glitch-free, delta-cycle levelized)
+/// backs model validation; `unit` (uniform per-arc delay, glitches
+/// retained) isolates glitching from delay magnitudes.
 enum class DelayModel : std::uint8_t { automatic, elmore, zero, unit };
 
 struct SimOptions {
@@ -72,9 +72,9 @@ struct SimOptions {
   std::uint64_t max_events = 200'000'000;  ///< runaway guard
   SchedulerKind scheduler = SchedulerKind::automatic;
   /// Cooperative cancellation, polled every few thousand events in the
-  /// replication loops (scalar and bit-parallel agree: a cancelled
-  /// replication throws tr::util::Cancelled and yields no partial
-  /// SimResult). The default token is inert and costs nothing.
+  /// event loop (a cancelled replication throws tr::util::Cancelled and
+  /// yields no partial SimResult). The default token is inert and costs
+  /// nothing.
   util::CancellationToken cancel;
 };
 
@@ -141,8 +141,7 @@ struct SimResult {
   double elapsed_seconds = 0.0;  ///< wall time of this replication [s]
   double events_per_sec = 0.0;   ///< event_count / elapsed_seconds
   /// High-water bytes of the replication scratch (state arenas + event
-  /// queue) after this run; 0 for the reference engine, which allocates
-  /// per call instead of using a scratch.
+  /// queue) after this run.
   std::size_t scratch_bytes = 0;
 };
 

@@ -85,19 +85,6 @@ std::uint64_t Rng::derive_stream(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64(x);
 }
 
-void Rng::derive_streams(std::uint64_t seed, std::uint64_t first_stream,
-                         std::uint64_t* out, std::size_t count) {
-  // Identical function to derive_stream(seed, first_stream + i): the
-  // first splitmix64 round depends only on the seed, so it is hoisted
-  // out of the loop and only the per-stream round runs per entry.
-  std::uint64_t x = seed;
-  const std::uint64_t h = splitmix64(x);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t y = h ^ ((first_stream + i + 1) * 0xd1b54a32d192ed03ULL);
-    out[i] = splitmix64(y);
-  }
-}
-
 Rng Rng::split() {
   Rng child(0);
   child.state_[0] = next_u64();

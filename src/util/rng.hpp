@@ -69,13 +69,6 @@ public:
   /// decorrelated from Rng(seed) itself.
   static std::uint64_t derive_stream(std::uint64_t seed, std::uint64_t stream);
 
-  /// Batch fan-out of derive_stream: fills out[i] = derive_stream(seed,
-  /// first_stream + i) for i in [0, count) — the bit-parallel simulation
-  /// lane seeds its 64 per-lane streams with one call, sharing the
-  /// seed-side mixing round across the batch.
-  static void derive_streams(std::uint64_t seed, std::uint64_t first_stream,
-                             std::uint64_t* out, std::size_t count);
-
   // UniformRandomBitGenerator interface (usable with <random> adaptors).
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }

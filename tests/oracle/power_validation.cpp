@@ -1,4 +1,4 @@
-#include "power/validation.hpp"
+#include "oracle/power_validation.hpp"
 
 #include <algorithm>
 #include <cmath>

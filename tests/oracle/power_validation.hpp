@@ -2,6 +2,8 @@
 // Statistical validation of the stochastic power model against the
 // switch-level simulator — the machine-checked form of the paper's
 // Table 3 "model vs S" comparison (paper Sec. 5), DESIGN.md Sec. 8.4.
+// A test oracle: only tests/test_validation.cpp uses it, so it lives
+// with the tests and links through tr_reference_oracle.
 //
 // The simulator is run as a replicated Monte-Carlo oracle
 // (sim/monte_carlo.hpp), so every simulated power carries a 95%

@@ -202,7 +202,6 @@ TEST(Cancellation, SimulatorEventLoopObservesDeadlineMidRun) {
   mc.sim.warmup_time = 0.0;
   mc.replications = 2;
   mc.threads = 1;
-  mc.packing = sim::PackingMode::scalar;
   mc.sim.cancel = CancellationToken::with_deadline_ms(20.0);
 
   const Tech tech;

@@ -384,7 +384,6 @@ TEST(FaultSim, ReplicateFaultSurfacesAtJoinAndEverythingIsReusable) {
   mc.sim.warmup_time = 1e-5;
   mc.replications = 4;
   mc.threads = 1;  // serial: nth counting is deterministic
-  mc.packing = sim::PackingMode::scalar;
 
   const sim::SimEngine engine(nl, stats, tech, mc.sim);
   util::ThreadPool pool(1);

@@ -7,11 +7,11 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "benchgen/generators.hpp"
 #include "celllib/library.hpp"
 #include "opt/scenario.hpp"
-#include "sim/bitsim.hpp"
 #include "sim/monte_carlo.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -189,39 +189,9 @@ TEST(MonteCarlo, TruncatedReplicationsAreCounted) {
   EXPECT_EQ(summary.truncated_replications, 6u);
 }
 
-// ---------------------------------------------------------------------------
-// Bit-parallel replication routing (sim/bitsim.hpp): the packed route
-// must be invisible in the estimates — bit-identical summaries against
-// the scalar route for every batch shape, thread count and delay model
-// it accepts, with truncation still surfacing loudly.
-// ---------------------------------------------------------------------------
-
-TEST(MonteCarlo, PackedAndScalarRoutesAreBitIdentical) {
-  // 130 replications = two full 64-lane groups + a 2-replicate scalar
-  // tail; the packed, scalar and automatic routes must agree bit for bit
-  // at every thread count.
-  const Netlist nl = benchgen::ripple_carry_adder(lib(), 3);
-  const auto stats = opt::scenario_b(nl, 2e6);
-  const Tech tech;
-  MonteCarloOptions mc = small_options(51, 130);
-  mc.sim.delay_model = DelayModel::zero;
-  const SimEngine engine(nl, stats, tech, mc.sim);
-  ASSERT_TRUE(BitSim::supported(engine));
-
-  mc.packing = PackingMode::scalar;
-  mc.threads = 1;
-  const SimSummary scalar = monte_carlo(engine, mc);
-  for (int threads : {1, 4}) {
-    mc.threads = threads;
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    mc.packing = PackingMode::packed;
-    expect_summaries_identical(scalar, monte_carlo(engine, mc));
-    mc.packing = PackingMode::automatic;
-    expect_summaries_identical(scalar, monte_carlo(engine, mc));
-  }
-}
-
-TEST(MonteCarlo, PackedUnitDelayRouteMatchesScalar) {
+TEST(MonteCarlo, UnitDelaySummaryBitIdenticalAcrossThreadCounts) {
+  // The thread-count contract holds under the glitch-retaining uniform
+  // delay model too, not just the default Elmore one.
   const Netlist nl = benchgen::ripple_carry_adder(lib(), 3);
   const auto stats = opt::scenario_b(nl, 2e6);
   const Tech tech;
@@ -229,54 +199,15 @@ TEST(MonteCarlo, PackedUnitDelayRouteMatchesScalar) {
   mc.sim.delay_model = DelayModel::unit;
   mc.sim.unit_delay = 1e-9;
   const SimEngine engine(nl, stats, tech, mc.sim);
-  ASSERT_TRUE(BitSim::supported(engine));
 
-  mc.packing = PackingMode::scalar;
-  const SimSummary scalar = monte_carlo(engine, mc);
-  mc.packing = PackingMode::packed;
+  mc.threads = 1;
+  const SimSummary serial = monte_carlo(engine, mc);
   mc.threads = 3;
-  expect_summaries_identical(scalar, monte_carlo(engine, mc));
+  expect_summaries_identical(serial, monte_carlo(engine, mc));
 }
 
-TEST(MonteCarlo, PackedEarlyStopKeepsTheDeterminismContract) {
-  // Adaptive batches of 64 go packed; the stopping decision and the
-  // summary must stay identical to the scalar route (batch boundaries
-  // are an option, never a routing artefact).
-  const Netlist nl = benchgen::ripple_carry_adder(lib(), 2);
-  const auto stats = opt::scenario_b(nl, 2e6);
-  const Tech tech;
-  MonteCarloOptions mc = small_options(53, 64);
-  mc.sim.delay_model = DelayModel::zero;
-  mc.target_rel_ci = 0.02;
-  mc.batch_size = 64;
-  mc.max_replications = 256;
-  const SimEngine engine(nl, stats, tech, mc.sim);
-
-  mc.packing = PackingMode::scalar;
-  const SimSummary scalar = monte_carlo(engine, mc);
-  mc.packing = PackingMode::automatic;
-  mc.threads = 4;
-  expect_summaries_identical(scalar, monte_carlo(engine, mc));
-}
-
-TEST(MonteCarlo, ForcedPackingRejectsUnsupportedEngines) {
-  const Netlist nl = benchgen::ripple_carry_adder(lib(), 2);
-  const auto stats = opt::scenario_b(nl, 2e6);
-  const Tech tech;
-  MonteCarloOptions mc = small_options(54, 64);
-  // Default options resolve to the Elmore model, which cannot be packed.
-  const SimEngine engine(nl, stats, tech, mc.sim);
-  ASSERT_FALSE(BitSim::supported(engine));
-  mc.packing = PackingMode::packed;
-  EXPECT_THROW(monte_carlo(engine, mc), Error);
-  // Automatic silently stays scalar instead.
-  mc.packing = PackingMode::automatic;
-  EXPECT_EQ(monte_carlo(engine, mc).replications, 64u);
-}
-
-TEST(MonteCarlo, PackedReplicationBudgetShrinksTheInterval) {
-  // The point of packing: 64x the replications at roughly flat cost per
-  // word. 4 -> 256 replications must shrink the Student-t CI by roughly
+TEST(MonteCarlo, ReplicationBudgetShrinksTheInterval) {
+  // 4 -> 256 replications must shrink the Student-t CI by roughly
   // sqrt(64); we assert a loose factor 3 on the pinned seed.
   const Netlist nl = benchgen::ripple_carry_adder(lib(), 2);
   const auto stats = opt::scenario_b(nl, 2e6);
@@ -292,37 +223,33 @@ TEST(MonteCarlo, PackedReplicationBudgetShrinksTheInterval) {
               few.energy.ci95 + many.energy.ci95);
 }
 
-TEST(MonteCarlo, PackedTruncationStaysLoudPerLane) {
+TEST(MonteCarlo, TruncationStaysLoudPerReplicate) {
   const Netlist nl = benchgen::ripple_carry_adder(lib(), 3);
   const auto stats = opt::scenario_b(nl, 2e6);
   const Tech tech;
   MonteCarloOptions mc = small_options(56, 64);
   mc.sim.delay_model = DelayModel::zero;
-  mc.packing = PackingMode::packed;
 
-  // A budget under every lane's event count truncates all replicates.
+  // A budget under every replicate's event count truncates all of them.
   mc.sim.max_events = 50;
   EXPECT_EQ(monte_carlo(nl, stats, tech, mc).truncated_replications, 64u);
 
-  // A budget between the lanes' natural counts truncates exactly the
-  // lanes that exceed it — a single runaway replicate must be visible
-  // without poisoning the other 63.
+  // A budget between the replicates' natural counts truncates exactly
+  // the replicates that exceed it — a single runaway replicate must be
+  // visible without poisoning the others.
   mc.sim.max_events = 200'000'000;
   const SimEngine probe(nl, stats, tech, mc.sim);
   ReplicationScratch scratch;
-  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  std::size_t above = 0;
-  std::uint64_t seeds[64];
-  Rng::derive_streams(mc.sim.seed, 0, seeds, 64);
-  std::uint64_t counts[64];
-  for (int k = 0; k < 64; ++k) {
-    counts[k] = probe.run(seeds[k], scratch).event_count;
-    lo = std::min(lo, counts[k]);
-    hi = std::max(hi, counts[k]);
+  std::vector<std::uint64_t> counts;
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    counts.push_back(
+        probe.run(Rng::derive_stream(mc.sim.seed, k), scratch).event_count);
   }
-  ASSERT_LT(lo, hi);
-  const std::uint64_t budget = (lo + hi) / 2;
-  for (std::uint64_t c : counts) above += c > budget ? 1u : 0u;
+  const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
+  ASSERT_LT(*lo, *hi);
+  const std::uint64_t budget = (*lo + *hi) / 2;
+  const auto above = static_cast<std::size_t>(std::count_if(
+      counts.begin(), counts.end(), [&](std::uint64_t c) { return c > budget; }));
   ASSERT_GT(above, 0u);
   ASSERT_LT(above, 64u);
   mc.sim.max_events = budget;

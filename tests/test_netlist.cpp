@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "celllib/library.hpp"
 #include "netlist/netlist.hpp"
 #include "util/error.hpp"
@@ -134,8 +136,20 @@ TEST(Netlist, SetConfigPreservesFunction) {
   const auto configs = inst.config.all_reorderings();
   ASSERT_EQ(configs.size(), 2u);
   EXPECT_NO_THROW(nl.set_config(1, configs[1]));
-  // A different cell's topology changes the function: rejected.
-  EXPECT_THROW(nl.set_config(1, lib().cell("nor2").topology()), Error);
+  // A different cell's topology changes the function: rejected, naming
+  // the instance, and the committed configuration stays in place.
+  try {
+    nl.set_config(1, lib().cell("nor2").topology());
+    FAIL() << "expected tr::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+    EXPECT_NE(std::string(e.what()).find("'" + inst.name + "'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(nl.gate(1).config == configs[1]);
+  // Reverting to the cell's own topology is function-preserving.
+  EXPECT_NO_THROW(nl.set_config(1, lib().cell("nand2").topology()));
 }
 
 TEST(Netlist, FanoutBookkeeping) {

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "benchgen/generators.hpp"
 #include "celllib/library.hpp"
+#include "celllib/cell.hpp"
 #include "power/circuit_power.hpp"
+#include "sim/monte_carlo.hpp"
+#include "sim/sim_engine.hpp"
 #include "sim/switch_sim.hpp"
 #include "util/error.hpp"
 
@@ -282,6 +288,83 @@ TEST(SwitchSim, ValidatesInputs) {
   opt.measure_time = 0.0;
   const NetId a = nl.find_net("a");
   EXPECT_THROW(simulate(nl, {{a, SignalStats{0.5, 1e5}}}, tech, opt), Error);
+}
+
+/// Runs `f`, which must throw tr::Error; returns the caught error.
+template <class F>
+Error caught_error(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected tr::Error";
+  return Error("no error");
+}
+
+TEST(SimEngine, RefusesGateWiderThanSixInputs) {
+  // The packed event encodes single-word (<= 6 input) truth tables; a
+  // wider gate is refused at construction, naming the gate, and the same
+  // structured error reaches monte_carlo callers.
+  CellLibrary wide_lib;
+  std::vector<std::string> pins;
+  std::vector<gategraph::SpNode> leaves;
+  for (int i = 0; i < 7; ++i) {
+    pins.push_back("i" + std::to_string(i));
+    leaves.push_back(gategraph::SpNode::transistor(i));
+  }
+  wide_lib.add(celllib::Cell("nor7", pins,
+                             gategraph::SpNode::parallel(std::move(leaves))));
+  Netlist nl(wide_lib, "wide");
+  std::vector<NetId> inputs;
+  std::map<NetId, SignalStats> stats;
+  for (int i = 0; i < 7; ++i) {
+    inputs.push_back(nl.add_net("x" + std::to_string(i)));
+    nl.mark_primary_input(inputs.back());
+    stats[inputs.back()] = {0.5, 1e5};
+  }
+  const NetId y = nl.add_net("y");
+  nl.add_gate("big_nor", "nor7", inputs, y);
+  nl.mark_primary_output(y);
+  const Tech tech;
+
+  const Error direct =
+      caught_error([&] { SimEngine(nl, stats, tech, SimOptions{}); });
+  EXPECT_EQ(direct.code(), ErrorCode::invalid_argument);
+  EXPECT_NE(std::string(direct.what()).find("'big_nor'"), std::string::npos)
+      << direct.what();
+  EXPECT_NE(std::string(direct.what()).find("7 inputs"), std::string::npos)
+      << direct.what();
+
+  MonteCarloOptions mc;
+  mc.replications = 2;
+  mc.threads = 1;
+  const Error via_mc =
+      caught_error([&] { monte_carlo(nl, stats, tech, mc); });
+  EXPECT_EQ(via_mc.code(), ErrorCode::invalid_argument);
+  EXPECT_STREQ(via_mc.what(), direct.what());
+}
+
+TEST(SimEngine, RefusesCircuitDeeperThanTheLevelRange) {
+  // Levels occupy 16 bits of the event order word: the deepest
+  // admissible output sits at EventScheduler::max_level.
+  const Tech tech;
+  SimOptions opt;
+  opt.measure_time = 1e-6;
+  const Netlist deepest = inverter_chain(EventScheduler::max_level);
+  const NetId a = deepest.find_net("a");
+  EXPECT_NO_THROW(
+      SimEngine(deepest, {{a, SignalStats{0.5, 1e5}}}, tech, opt));
+
+  const Netlist too_deep = inverter_chain(EventScheduler::max_level + 1);
+  const Error error = caught_error([&] {
+    SimEngine(too_deep, {{too_deep.find_net("a"), SignalStats{0.5, 1e5}}},
+              tech, opt);
+  });
+  EXPECT_EQ(error.code(), ErrorCode::invalid_argument);
+  const std::string last = "'u" + std::to_string(EventScheduler::max_level) + "'";
+  EXPECT_NE(std::string(error.what()).find(last), std::string::npos)
+      << error.what();
 }
 
 // Sweep: observed equilibrium probability tracks the request across the

@@ -1,12 +1,14 @@
-// Differential suite pinning the rewritten simulation hot path
-// bit-identical to the retained reference event loop (DESIGN.md
-// Sec. 10.5): same SimResult for every seed, both delay models,
-// zero-delay mode, truncation, both scheduler lanes, and seeded random
-// SP-tree netlists; plus the scratch-reuse contracts — zero steady-state
-// allocation on a scaled circuit and Monte-Carlo thread-scratch safety.
+// Differential suite pinning SimEngine bit-identical to the pre-rewrite
+// reference event loop (tests/oracle/reference_sim.hpp, DESIGN.md
+// Sec. 10.5): same SimResult for every seed under the Elmore, zero- and
+// unit-delay models, truncation (uniform and mixed budgets), both
+// scheduler lanes, and seeded random SP-tree netlists; plus the
+// scratch-reuse contracts — zero steady-state allocation on a scaled
+// circuit and Monte-Carlo thread-scratch safety.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -18,6 +20,7 @@
 #include "celllib/cell.hpp"
 #include "celllib/library.hpp"
 #include "opt/scenario.hpp"
+#include "oracle/reference_sim.hpp"
 #include "random_sp_tree.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/sim_engine.hpp"
@@ -79,7 +82,7 @@ void expect_results_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.measured_time, b.measured_time);
 }
 
-/// Fast path (both scheduler lanes) vs the reference oracle on one
+/// SimEngine (both scheduler lanes) vs the reference oracle on one
 /// engine configuration, across several replicate seeds.
 void differential_check(const Netlist& nl,
                         const std::map<NetId, SignalStats>& stats,
@@ -90,11 +93,11 @@ void differential_check(const Netlist& nl,
   const SimEngine calendar(nl, stats, tech, opt);
   opt.scheduler = SchedulerKind::heap;
   const SimEngine heap(nl, stats, tech, opt);
-  ASSERT_TRUE(calendar.fast_path_available());
+  const oracle::ReferenceSim reference(nl, stats, tech, opt);
   ReplicationScratch scratch;
   for (std::uint64_t seed : seeds) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    const SimResult oracle = calendar.run_reference(seed);
+    const SimResult oracle = reference.run(seed);
     expect_results_identical(calendar.run(seed, scratch), oracle);
     expect_results_identical(heap.run(seed, scratch), oracle);
   }
@@ -111,6 +114,62 @@ TEST(SimDifferential, RippleCarryBothDelayModels) {
     SCOPED_TRACE(testing::Message() << "delays=" << delays);
     opt.use_gate_delays = delays;
     differential_check(nl, stats, opt, {1, 2, 42, 987654321});
+  }
+}
+
+SimOptions unit_delay_options(double delay) {
+  SimOptions opt;
+  opt.measure_time = 4e-4;
+  opt.warmup_time = 1e-5;
+  opt.delay_model = DelayModel::unit;
+  opt.unit_delay = delay;
+  return opt;
+}
+
+TEST(SimDifferential, RippleCarryUnitDelay) {
+  // Uniform per-arc delay: glitches retained, every commit a fixed hop.
+  const Netlist nl = benchgen::ripple_carry_adder(lib(), 4);
+  std::map<NetId, SignalStats> stats;
+  for (NetId id : nl.primary_inputs()) stats[id] = {0.4, 2e5};
+  differential_check(nl, stats, unit_delay_options(1e-9),
+                     {1, 2, 42, 987654321});
+}
+
+TEST(SimDifferential, UnitDelayComparableToToggleGaps) {
+  // A unit delay comparable to the PI toggle gaps: input changes land
+  // while commits are still pending, so the inertial re-targeting path
+  // runs constantly.
+  const Netlist nl = benchgen::ripple_carry_adder(lib(), 4);
+  std::map<NetId, SignalStats> stats;
+  for (NetId id : nl.primary_inputs()) stats[id] = {0.5, 3e5};
+  SimOptions opt = unit_delay_options(1e-7);
+  opt.measure_time = 3e-4;
+  differential_check(nl, stats, opt, {99, 100});
+}
+
+TEST(SimDifferential, SuiteCircuitUnitDelay) {
+  const auto& spec = benchgen::suite_entry("cm85a");
+  const Netlist nl = benchgen::build_benchmark(lib(), spec);
+  const auto stats = opt::scenario_a(nl, spec.seed ^ 0x5EEDULL);
+  SimOptions opt = unit_delay_options(1e-10);
+  opt.measure_time = 2e-4;
+  differential_check(nl, stats, opt, {7, 1234});
+}
+
+TEST(SimDifferential, RandomSpTreeUnitDelay) {
+  Rng rng(20260729);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const CellLibrary sp_lib = testutil::random_sp_library(rng, 4);
+    const Netlist nl = testutil::random_sp_netlist(sp_lib, rng, 8);
+    std::map<NetId, SignalStats> stats;
+    for (NetId id : nl.primary_inputs()) {
+      stats[id] = {rng.uniform(0.2, 0.8), rng.uniform(1e5, 4e5)};
+    }
+    SimOptions opt = unit_delay_options(5e-10);
+    opt.measure_time = 3e-4;
+    differential_check(nl, stats, opt,
+                       {21 + static_cast<std::uint64_t>(trial)});
   }
 }
 
@@ -151,13 +210,41 @@ TEST(SimDifferential, TruncationIsBitIdentical) {
   SimOptions opt;
   opt.measure_time = 6e-4;
   const Tech tech;
-  const SimEngine probe(nl, stats, tech, opt);
-  const std::uint64_t full_events = probe.run_reference(5).event_count;
+  const oracle::ReferenceSim probe(nl, stats, tech, opt);
+  const std::uint64_t full_events = probe.run(5).event_count;
   ASSERT_GT(full_events, 50u);
   for (std::uint64_t budget : {full_events / 2, std::uint64_t{1}}) {
     SCOPED_TRACE(testing::Message() << "max_events " << budget);
     opt.max_events = budget;
     differential_check(nl, stats, opt, {5, 6});
+  }
+}
+
+TEST(SimDifferential, MixedBudgetTruncationMatchesOracle) {
+  // A budget between the replicates' natural event counts truncates some
+  // seeds and not others; each must match its own oracle exactly,
+  // including the truncated flag, under every delay model.
+  const Netlist nl = benchgen::ripple_carry_adder(lib(), 3);
+  std::map<NetId, SignalStats> stats;
+  for (NetId id : nl.primary_inputs()) stats[id] = {0.5, 2e5};
+  const Tech tech;
+  SimOptions zero;
+  zero.delay_model = DelayModel::zero;
+  for (SimOptions opt : {SimOptions{}, zero, unit_delay_options(1e-9)}) {
+    SCOPED_TRACE(testing::Message()
+                 << "delay model " << static_cast<int>(opt.delay_model));
+    opt.measure_time = 4e-4;
+    std::vector<std::uint64_t> seeds;
+    std::vector<std::uint64_t> events;
+    const oracle::ReferenceSim probe(nl, stats, tech, opt);
+    for (std::uint64_t k = 0; k < 16; ++k) {
+      seeds.push_back(Rng::derive_stream(5, k));
+      events.push_back(probe.run(seeds.back()).event_count);
+    }
+    const auto [lo, hi] = std::minmax_element(events.begin(), events.end());
+    ASSERT_LT(*lo, *hi);
+    opt.max_events = (*lo + *hi) / 2;
+    differential_check(nl, stats, opt, seeds);
   }
 }
 
@@ -196,7 +283,7 @@ TEST(SimDifferential, PiStatsTableMatchesMapBoundary) {
 }
 
 TEST(SimDifferential, MonteCarloSummariesMatchPreRewriteAccumulation) {
-  // The MC layer folds fast-path results; replaying the fold over
+  // The MC layer folds engine results; replaying the fold over
   // reference results must give the identical summary (scratch reuse and
   // the scheduler drop out of the estimates entirely).
   const Netlist nl = benchgen::ripple_carry_adder(lib(), 3);
@@ -211,9 +298,10 @@ TEST(SimDifferential, MonteCarloSummariesMatchPreRewriteAccumulation) {
   const SimEngine engine(nl, stats, tech, mc.sim);
   const SimSummary summary = monte_carlo(engine, mc);
   ASSERT_EQ(summary.replications, 8u);
+  const oracle::ReferenceSim reference(nl, stats, tech, mc.sim);
   for (std::size_t k = 0; k < 8; ++k) {
     const SimResult oracle =
-        engine.run_reference(Rng::derive_stream(mc.sim.seed, k));
+        reference.run(Rng::derive_stream(mc.sim.seed, k));
     EXPECT_EQ(summary.replicate_energy[k], oracle.energy) << "replicate " << k;
   }
   EXPECT_GT(summary.events_per_sec, 0.0);
@@ -235,7 +323,6 @@ TEST(SimDifferential, ScaledCircuitSteadyStateDoesNotAllocate) {
   opt.measure_time = 2e-5;
   opt.warmup_time = 2e-6;
   const SimEngine engine(nl, stats, tech, opt);
-  ASSERT_TRUE(engine.fast_path_available());
 
   ReplicationScratch scratch;
   SimResult result;
@@ -260,7 +347,7 @@ TEST(SimDifferential, ScaledCircuitSteadyStateDoesNotAllocate) {
 
 TEST(SimDifferential, ScaledCircuitFastPathMatchesOracle) {
   // One scaled-tier differential point (slow tier): the whole reason the
-  // rewrite is trusted on the syn tier.
+  // engine is trusted on the syn tier.
   const auto& spec = benchgen::suite_entry("syn1000");
   const Netlist nl = benchgen::build_benchmark(lib(), spec);
   const auto stats = opt::scenario_a(nl, spec.seed);

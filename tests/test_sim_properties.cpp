@@ -69,6 +69,43 @@ TEST(SimProperties, EnergyAccountingIdentityOnRandomSpCircuits) {
   }
 }
 
+TEST(SimProperties, EnergyAccountingIdentityUnderUnitDelay) {
+  // Same partition identities under the uniform-delay model, plus the
+  // per-gate output share never exceeding its gate total.
+  Rng rng(20260730);
+  const Tech tech;
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const CellLibrary lib = random_sp_library(rng, 4);
+    const Netlist nl = random_sp_netlist(lib, rng, 6);
+    const auto stats = random_pi_stats(nl, rng);
+    SimOptions opt;
+    opt.seed = 2000 + static_cast<std::uint64_t>(trial);
+    opt.measure_time = 4e-4;
+    opt.warmup_time = 1e-5;
+    opt.delay_model = DelayModel::unit;
+    opt.unit_delay = 1e-9;
+    const SimResult r = simulate(nl, stats, tech, opt);
+    ASSERT_FALSE(r.truncated);
+    ASSERT_GT(r.energy, 0.0);
+    EXPECT_NEAR((r.output_node_energy + r.internal_node_energy + r.pi_energy) /
+                    r.energy,
+                1.0, 1e-9);
+    double gate_sum = 0.0, output_sum = 0.0;
+    for (std::size_t g = 0; g < r.per_gate_energy.size(); ++g) {
+      EXPECT_LE(r.per_gate_output_energy[g], r.per_gate_energy[g] + 1e-18);
+      gate_sum += r.per_gate_energy[g];
+      output_sum += r.per_gate_output_energy[g];
+    }
+    EXPECT_NEAR(gate_sum / (r.output_node_energy + r.internal_node_energy),
+                1.0, 1e-9);
+    if (r.output_node_energy > 0.0) {
+      EXPECT_NEAR(output_sum / r.output_node_energy, 1.0, 1e-9);
+    }
+    EXPECT_NEAR(r.power * r.measured_time, r.energy, r.energy * 1e-12);
+  }
+}
+
 TEST(SimProperties, EngineRunsArePureFunctionsOfTheSeed) {
   Rng rng(77);
   const Tech tech;

@@ -14,7 +14,7 @@
 
 #include "benchgen/generators.hpp"
 #include "celllib/library.hpp"
-#include "power/validation.hpp"
+#include "oracle/power_validation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
