@@ -62,9 +62,9 @@ GlitchShare glitch_share(const netlist::Netlist& nl,
   mc.sim.warmup_time = mc.sim.measure_time * 0.02;
   mc.sim.count_pi_energy = false;  // PI waveforms are identical in both runs
 
-  mc.sim.use_gate_delays = true;
+  mc.sim.delay_model = sim::DelayModel::elmore;
   const sim::SimSummary with_delays = sim::monte_carlo(nl, stats, tech, mc);
-  mc.sim.use_gate_delays = false;
+  mc.sim.delay_model = sim::DelayModel::zero;
   const sim::SimSummary ideal = sim::monte_carlo(nl, stats, tech, mc);
 
   TR_ASSERT(with_delays.replicate_energy.size() ==

@@ -21,17 +21,6 @@ constexpr std::int64_t kEntryVersion = 1;
 
 constexpr const char* kManifestName = "manifest.jnl";
 
-/// Required-field lookup with a checkpoint-flavoured error.
-const util::JsonValue& field(const util::JsonValue& doc, const char* key) {
-  const util::JsonValue* value = doc.find(key);
-  if (value == nullptr) {
-    throw Error("checkpoint: entry is missing field '" + std::string(key) +
-                    "'",
-                ErrorCode::parse);
-  }
-  return *value;
-}
-
 }  // namespace
 
 std::string entry_name(std::size_t index, const std::string& circuit_name) {
@@ -188,15 +177,15 @@ int CheckpointJournal::load(std::vector<BatchCircuit>& batch) {
 
     try {
       const util::JsonValue doc = util::json_parse(entry.payload);
-      if (field(doc, "journal_version").as_i64("journal_version") !=
+      if (doc.at("journal_version").as_i64("journal_version") !=
           kEntryVersion) {
         throw Error("checkpoint: entry version is not " +
                         std::to_string(kEntryVersion),
                     ErrorCode::parse);
       }
-      if (field(doc, "index").as_i64("index") !=
+      if (doc.at("index").as_i64("index") !=
               static_cast<std::int64_t>(i) ||
-          field(doc, "name").as_string("name") != circuit.name) {
+          doc.at("name").as_string("name") != circuit.name) {
         throw Error("checkpoint: entry does not describe batch index " +
                         std::to_string(i) + " ('" + circuit.name + "')",
                     ErrorCode::invalid_argument);
@@ -205,7 +194,7 @@ int CheckpointJournal::load(std::vector<BatchCircuit>& batch) {
       BatchCircuitResult result;
       result.name = circuit.name;
       result.status = CircuitStatus::ok;
-      result.gates = static_cast<int>(field(doc, "gates").as_i64("gates"));
+      result.gates = static_cast<int>(doc.at("gates").as_i64("gates"));
       if (result.gates != circuit.netlist.gate_count()) {
         throw Error(
             "checkpoint: entry was journaled for a netlist with " +
@@ -214,82 +203,83 @@ int CheckpointJournal::load(std::vector<BatchCircuit>& batch) {
             ErrorCode::invalid_argument);
       }
       result.primary_inputs = static_cast<int>(
-          field(doc, "primary_inputs").as_i64("primary_inputs"));
+          doc.at("primary_inputs").as_i64("primary_inputs"));
       result.primary_outputs = static_cast<int>(
-          field(doc, "primary_outputs").as_i64("primary_outputs"));
+          doc.at("primary_outputs").as_i64("primary_outputs"));
       result.report.threads_used =
-          static_cast<int>(field(doc, "threads").as_i64("threads"));
+          static_cast<int>(doc.at("threads").as_i64("threads"));
       result.report.model_power_before =
-          field(doc, "model_power_before_w").as_double("model_power_before_w");
+          doc.at("model_power_before_w").as_double("model_power_before_w");
       result.report.model_power_after =
-          field(doc, "model_power_after_w").as_double("model_power_after_w");
+          doc.at("model_power_after_w").as_double("model_power_after_w");
       result.critical_path_before =
-          field(doc, "critical_path_before_s")
+          doc.at("critical_path_before_s")
               .as_double("critical_path_before_s");
       result.critical_path_after =
-          field(doc, "critical_path_after_s")
+          doc.at("critical_path_after_s")
               .as_double("critical_path_after_s");
       result.report.gates_changed = static_cast<int>(
-          field(doc, "gates_changed").as_i64("gates_changed"));
+          doc.at("gates_changed").as_i64("gates_changed"));
       result.report.configs_rejected_by_delay =
-          static_cast<int>(field(doc, "configs_rejected_by_delay")
+          static_cast<int>(doc.at("configs_rejected_by_delay")
                                .as_i64("configs_rejected_by_delay"));
       result.report.configs_rejected_by_instance =
-          static_cast<int>(field(doc, "configs_rejected_by_instance")
+          static_cast<int>(doc.at("configs_rejected_by_instance")
                                .as_i64("configs_rejected_by_instance"));
 
       // Re-apply the committed configurations. The reloaded netlist is
       // deterministic, so output-net lookup pins each decision to the
       // same gate the original run rewrote; set_config re-validates
-      // that the key computes the gate's function.
-      const util::JsonValue& decisions = field(doc, "decisions");
+      // that the key computes the gate's function. They go onto a copy
+      // that replaces the netlist only once every decision is accepted,
+      // so a rejected entry leaves the circuit as it was loaded.
+      const util::JsonValue& decisions = doc.at("decisions");
       if (decisions.kind != util::JsonValue::Kind::array) {
         throw Error("checkpoint: decisions must be an array",
                     ErrorCode::parse);
       }
+      netlist::Netlist applied = circuit.netlist;
       std::map<std::string, netlist::GateId> by_output;
-      for (netlist::GateId g = 0; g < circuit.netlist.gate_count(); ++g) {
-        by_output.emplace(
-            circuit.netlist.net(circuit.netlist.gate(g).output).name, g);
+      for (netlist::GateId g = 0; g < applied.gate_count(); ++g) {
+        by_output.emplace(applied.net(applied.gate(g).output).name, g);
       }
       for (const util::JsonValue& entry_doc : decisions.array) {
         const std::string& output =
-            field(entry_doc, "output").as_string("output");
+            entry_doc.at("output").as_string("output");
         const auto it = by_output.find(output);
         if (it == by_output.end()) {
           throw Error("checkpoint: no gate drives a net named '" + output +
                           "'",
                       ErrorCode::invalid_argument);
         }
-        const netlist::GateInst& inst = circuit.netlist.gate(it->second);
-        if (inst.cell != field(entry_doc, "cell").as_string("cell")) {
+        const netlist::GateInst& inst = applied.gate(it->second);
+        if (inst.cell != entry_doc.at("cell").as_string("cell")) {
           throw Error("checkpoint: gate driving '" + output +
                           "' is not a '" +
-                          field(entry_doc, "cell").as_string("cell") + "'",
+                          entry_doc.at("cell").as_string("cell") + "'",
                       ErrorCode::invalid_argument);
         }
-        circuit.netlist.set_config(
+        applied.set_config(
             it->second,
             gategraph::topology_from_key(
-                field(entry_doc, "config").as_string("config"),
+                entry_doc.at("config").as_string("config"),
                 static_cast<int>(inst.inputs.size())));
         GateDecision decision;
         decision.gate = it->second;
         decision.changed = true;
         decision.original_power =
-            field(entry_doc, "power_before_w").as_double("power_before_w");
+            entry_doc.at("power_before_w").as_double("power_before_w");
         decision.chosen_power =
-            field(entry_doc, "power_after_w").as_double("power_after_w");
+            entry_doc.at("power_after_w").as_double("power_after_w");
         result.report.decisions.push_back(decision);
       }
 
+      circuit.netlist = std::move(applied);
       circuit.resumed = std::move(result);
       ++resumed;
     } catch (...) {
       // Stale or semantically inconsistent entry (or a bug in an old
       // writer): report it and fall back to re-running the circuit.
-      // Any half-applied configurations are overwritten by the rerun's
-      // optimizer, which explores from the current state's catalog.
       const CircuitError why = describe_current_exception();
       const std::lock_guard<std::mutex> lock(mutex_);
       warnings_.push_back({name, why.code,

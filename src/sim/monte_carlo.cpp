@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "util/cancel.hpp"
 #include "util/error.hpp"
@@ -84,83 +83,34 @@ struct Accumulators {
   }
 };
 
-/// Runs replicates [first, first + count) in parallel and folds them into
-/// `acc` in index order. `results` is a recycled slot pool: slots keep
-/// their vector capacities batch over batch, and each worker thread
-/// reuses one thread-local ReplicationScratch across every replication
-/// it runs, so steady-state replication does not allocate
-/// (DESIGN.md Sec. 10.2).
-void run_batch(const SimEngine& engine, util::ThreadPool& pool,
-               std::uint64_t master_seed, std::size_t first,
-               std::size_t count, Accumulators& acc,
-               std::vector<SimResult>& results) {
-  if (results.size() < count) results.resize(count);
-  // Per-replicate poll on top of the engine's in-loop poll, so a
-  // cancelled session stops between replications without finishing the
-  // batch. Replications are discarded wholesale on unwind — the fold
-  // below never runs — so no partial summary can be observed.
-  const util::CancellationToken& cancel = engine.options().cancel;
-  const bool cancellable = cancel.valid();
-  pool.parallel_for(count, [&](std::size_t i) {
-    if (cancellable) cancel.check("monte_carlo");
-    thread_local ReplicationScratch scratch;
-    engine.run(Rng::derive_stream(master_seed, first + i), scratch,
-               results[i]);
-  });
-  for (std::size_t i = 0; i < count; ++i) acc.add(results[i]);
-}
-
-}  // namespace
-
-namespace {
-
 SimSummary monte_carlo_impl(const SimEngine& engine,
                             const MonteCarloOptions& options,
                             util::ThreadPool* pool) {
   require(options.replications >= 1,
           "monte_carlo: replications must be >= 1");
-  require(options.target_rel_ci >= 0.0,
-          "monte_carlo: target_rel_ci must be >= 0");
-  const bool adaptive = options.target_rel_ci > 0.0;
-  if (adaptive) {
-    require(options.batch_size >= 1, "monte_carlo: batch_size must be >= 1");
-    require(options.max_replications >= options.replications,
-            "monte_carlo: max_replications must be >= replications");
-  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   util::ThreadPool local_pool(pool ? 1 : options.threads);
   util::ThreadPool& workers = pool ? *pool : local_pool;
   const std::uint64_t master_seed = options.sim.seed;
+  const std::size_t count = static_cast<std::size_t>(options.replications);
 
+  // A per-replicate poll on top of the engine's in-loop poll stops a
+  // cancelled session between replications. Results are discarded
+  // wholesale on unwind — the fold below never runs — so no partial
+  // summary can be observed.
+  std::vector<SimResult> results(count);
+  const util::CancellationToken& cancel = engine.options().cancel;
+  const bool cancellable = cancel.valid();
+  workers.parallel_for(count, [&](std::size_t i) {
+    if (cancellable) cancel.check("monte_carlo");
+    thread_local ReplicationScratch scratch;
+    engine.run(Rng::derive_stream(master_seed, i), scratch, results[i]);
+  });
   Accumulators acc;
-  std::vector<SimResult> results;
-  std::size_t next = 0;
-  run_batch(engine, workers, master_seed, next,
-            static_cast<std::size_t>(options.replications), acc, results);
-  next += static_cast<std::size_t>(options.replications);
-
-  bool target_reached = false;
-  if (adaptive) {
-    const auto met = [&] {
-      const Estimate e = acc.energy.estimate();
-      return e.count >= 2 &&
-             e.ci95 <= options.target_rel_ci * std::abs(e.mean);
-    };
-    target_reached = met();
-    const std::size_t cap =
-        static_cast<std::size_t>(options.max_replications);
-    while (!target_reached && next < cap) {
-      const std::size_t batch =
-          std::min(static_cast<std::size_t>(options.batch_size), cap - next);
-      run_batch(engine, workers, master_seed, next, batch, acc, results);
-      next += batch;
-      target_reached = met();
-    }
-  }
+  for (const SimResult& r : results) acc.add(r);
 
   SimSummary summary = acc.summary(engine.options().measure_time);
-  summary.target_reached = target_reached;
   summary.elapsed_seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - wall_start)
                                 .count();
@@ -183,21 +133,12 @@ SimSummary monte_carlo(const SimEngine& engine,
   });
 }
 
-SimSummary monte_carlo(const netlist::Netlist& netlist,
-                       const PiStatsTable& pi_stats,
-                       const celllib::Tech& tech,
-                       const MonteCarloOptions& options) {
-  const SimEngine engine(netlist, pi_stats, tech, options.sim);
-  return monte_carlo(engine, options);
-}
-
 SimSummary monte_carlo(
     const netlist::Netlist& netlist,
     const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
     const celllib::Tech& tech, const MonteCarloOptions& options) {
-  return monte_carlo(netlist,
-                     PiStatsTable(netlist.net_count(), pi_stats), tech,
-                     options);
+  const SimEngine engine(netlist, pi_stats, tech, options.sim);
+  return monte_carlo(engine, options);
 }
 
 }  // namespace tr::sim

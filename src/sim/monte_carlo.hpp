@@ -7,18 +7,15 @@
 // is driven by the seed stream
 // Rng::derive_stream(master_seed, k), and the Welford reduction into the
 // summary always happens in replicate-index order, so a SimSummary is
-// bit-identical for 1 and N worker threads. An optional early-stop mode
-// keeps adding fixed-size batches of replications until the 95%
-// confidence interval of the total energy is tighter than a target
-// relative error (batch size is an option, never the thread count, to
-// keep the stopping decision deterministic).
+// bit-identical for 1 and N worker threads. The replication count is
+// fixed: the paper's column S pairs replicate k of two netlists on one
+// seed stream, which an adaptive count could not keep.
 //
 // Each worker thread owns one ReplicationScratch reused across all the
 // replications it executes (and across monte_carlo calls on the same
-// pool), so steady-state replication allocates nothing; result slots are
-// likewise recycled batch over batch (DESIGN.md Sec. 10.2). Only the
-// wall-clock throughput diagnostics of the summary depend on this —
-// every estimate is a pure function of the options.
+// pool), so steady-state replication allocates nothing (DESIGN.md
+// Sec. 10.2). Only the wall-clock throughput diagnostics of the summary
+// depend on this — every estimate is a pure function of the options.
 
 #include <cstdint>
 #include <map>
@@ -34,19 +31,10 @@ struct MonteCarloOptions {
   /// Per-replication simulation options; `sim.seed` is the master seed
   /// every replicate stream derives from.
   SimOptions sim;
-  /// Replication count in fixed mode (target_rel_ci == 0); the size of
-  /// the first batch in early-stop mode.
   int replications = 16;
   /// Worker threads; <= 0 selects one per hardware thread. Never affects
   /// the summary values, only wall time.
   int threads = 0;
-  /// > 0 enables early stop: replicate until the energy estimate's 95%
-  /// CI half-width is <= target_rel_ci * |mean| (or max_replications).
-  double target_rel_ci = 0.0;
-  /// Replicates added per early-stop round after the first batch.
-  int batch_size = 8;
-  /// Hard cap on replications in early-stop mode.
-  int max_replications = 256;
 };
 
 /// Mean/spread of one net's observed statistics across replications.
@@ -76,8 +64,6 @@ struct SimSummary {
   std::size_t truncated_replications = 0;
   std::uint64_t total_events = 0;
   double measure_time = 0.0;  ///< per-replication window [s]
-  /// Early-stop mode only: the target was met before max_replications.
-  bool target_reached = false;
   /// Per-replicate total energy, in replicate order [J] — the raw sample
   /// behind `energy`, kept for paired comparisons and diagnostics.
   std::vector<double> replicate_energy;
@@ -98,12 +84,6 @@ SimSummary monte_carlo(const SimEngine& engine,
                        util::ThreadPool* pool = nullptr);
 
 /// Convenience: builds the engine and runs.
-SimSummary monte_carlo(const netlist::Netlist& netlist,
-                       const PiStatsTable& pi_stats,
-                       const celllib::Tech& tech,
-                       const MonteCarloOptions& options);
-
-/// Convenience overload over the legacy map boundary.
 SimSummary monte_carlo(
     const netlist::Netlist& netlist,
     const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,

@@ -278,17 +278,12 @@ private:
 };
 
 SimEngine::SimEngine(const netlist::Netlist& netlist,
-                     const PiStatsTable& pi_stats, const celllib::Tech& tech,
-                     const SimOptions& options)
+                     const std::map<NetId, boolfn::SignalStats>& pi_stats,
+                     const celllib::Tech& tech, const SimOptions& options)
     : netlist_(netlist), tech_(tech), options_(options) {
   netlist_.validate();
   require(options_.measure_time > 0.0, "switch_sim: measure_time must be > 0");
-  delay_model_ = options_.delay_model;
-  if (delay_model_ == DelayModel::automatic) {
-    delay_model_ =
-        options_.use_gate_delays ? DelayModel::elmore : DelayModel::zero;
-  }
-  if (delay_model_ == DelayModel::unit) {
+  if (options_.delay_model == DelayModel::unit) {
     require(options_.unit_delay > 0.0, "switch_sim: unit_delay must be > 0");
   }
   topo_order_ = netlist_.topological_order();
@@ -296,31 +291,28 @@ SimEngine::SimEngine(const netlist::Netlist& netlist,
   build_gates();
 }
 
-SimEngine::SimEngine(const netlist::Netlist& netlist,
-                     const std::map<NetId, boolfn::SignalStats>& pi_stats,
-                     const celllib::Tech& tech, const SimOptions& options)
-    : SimEngine(netlist, PiStatsTable(netlist.net_count(), pi_stats), tech,
-                options) {}
-
-void SimEngine::build_pis(const PiStatsTable& pi_stats) {
+void SimEngine::build_pis(
+    const std::map<NetId, boolfn::SignalStats>& pi_stats) {
   pi_.resize(static_cast<std::size_t>(netlist_.net_count()));
   pi_order_ = netlist_.primary_inputs();
   for (NetId id : pi_order_) {
-    const boolfn::SignalStats* s = pi_stats.find(id);
-    require(s != nullptr, "switch_sim: missing statistics for primary input '",
+    const auto it = pi_stats.find(id);
+    require(it != pi_stats.end(),
+            "switch_sim: missing statistics for primary input '",
             netlist_.net(id).name, "'");
-    require(s->prob >= 0.0 && s->prob <= 1.0 && s->density >= 0.0,
+    const boolfn::SignalStats& s = it->second;
+    require(s.prob >= 0.0 && s.prob <= 1.0 && s.density >= 0.0,
             "switch_sim: invalid PI statistics");
     PiProcess p;
     // Two-state CTMC: P(1) = r_up / (r_up + r_down) and the transition
     // density (both edges) is 2 r_up r_down / (r_up + r_down) = D,
     // giving r_up = D / (2 (1-P)), r_down = D / (2 P).
-    if (s->density > 0.0 && s->prob > 0.0 && s->prob < 1.0) {
-      p.rate_up = s->density / (2.0 * (1.0 - s->prob));
-      p.rate_down = s->density / (2.0 * s->prob);
-      pi_rate_sum_ += s->density;  // equilibrium toggle rate of this PI
+    if (s.density > 0.0 && s.prob > 0.0 && s.prob < 1.0) {
+      p.rate_up = s.density / (2.0 * (1.0 - s.prob));
+      p.rate_down = s.density / (2.0 * s.prob);
+      pi_rate_sum_ += s.density;  // equilibrium toggle rate of this PI
     }
-    p.prob = s->prob;
+    p.prob = s.prob;
     double load_cap = tech_.c_wire;
     for (const auto& [fan_gate, pin] : netlist_.net(id).fanouts) {
       load_cap += netlist_.library()
@@ -401,7 +393,7 @@ void SimEngine::build_gates() {
     for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
       flat_in_net_[in_begin + pin] = inst.inputs[pin];
     }
-    switch (delay_model_) {
+    switch (options_.delay_model) {
       case DelayModel::elmore: {
         const std::vector<double> delays =
             delay::gate_delays(graph, caps, tech_).pin_delay;
@@ -413,7 +405,7 @@ void SimEngine::build_gates() {
         std::fill_n(pin_delay.begin() + in_begin, inst.inputs.size(),
                     options_.unit_delay);
         break;
-      default:  // zero-delay (automatic already resolved)
+      case DelayModel::zero:  // pin delays stay 0
         break;
     }
   }

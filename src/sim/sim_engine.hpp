@@ -83,10 +83,6 @@ public:
   /// (invalid_argument) for a circuit outside the packed event encoding:
   /// a gate with more than 6 inputs, or more than
   /// EventScheduler::max_level levels.
-  SimEngine(const netlist::Netlist& netlist, const PiStatsTable& pi_stats,
-            const celllib::Tech& tech, const SimOptions& options);
-
-  /// Convenience overload over the legacy map boundary.
   SimEngine(const netlist::Netlist& netlist,
             const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
             const celllib::Tech& tech, const SimOptions& options);
@@ -111,10 +107,6 @@ public:
   /// Replication with the options' own seed (the classic simulate()).
   SimResult run() const { return run(options_.seed); }
 
-  /// The delay model actually in effect: options().delay_model with
-  /// `automatic` resolved against use_gate_delays at construction.
-  DelayModel resolved_delay_model() const noexcept { return delay_model_; }
-
   const SimOptions& options() const noexcept { return options_; }
   const netlist::Netlist& netlist() const noexcept { return netlist_; }
 
@@ -129,13 +121,13 @@ private:
 
   struct EventLoop;  // the event loop (sim_engine.cpp)
 
-  void build_pis(const PiStatsTable& pi_stats);
+  void build_pis(
+      const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats);
   void build_gates();
 
   const netlist::Netlist& netlist_;
   const celllib::Tech& tech_;
   SimOptions options_;
-  DelayModel delay_model_ = DelayModel::elmore;  ///< automatic resolved
 
   std::vector<PiProcess> pi_;               ///< indexed by NetId
   std::vector<netlist::NetId> pi_order_;    ///< PIs in RNG draw order

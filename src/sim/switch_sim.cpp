@@ -1,49 +1,13 @@
 #include "sim/switch_sim.hpp"
 
 #include "sim/sim_engine.hpp"
-#include "util/error.hpp"
 
 namespace tr::sim {
-
-PiStatsTable::PiStatsTable(int net_count) {
-  TR_ASSERT(net_count >= 0);
-  stats_.resize(static_cast<std::size_t>(net_count));
-  present_.assign(static_cast<std::size_t>(net_count), 0);
-}
-
-PiStatsTable::PiStatsTable(
-    int net_count, const std::map<netlist::NetId, boolfn::SignalStats>& stats)
-    : PiStatsTable(net_count) {
-  for (const auto& [net, s] : stats) set(net, s);
-}
-
-void PiStatsTable::set(netlist::NetId net, const boolfn::SignalStats& stats) {
-  require(net >= 0 && net < net_count(),
-          "PiStatsTable: net id out of range");
-  stats_[static_cast<std::size_t>(net)] = stats;
-  present_[static_cast<std::size_t>(net)] = 1;
-}
-
-const boolfn::SignalStats* PiStatsTable::find(
-    netlist::NetId net) const noexcept {
-  if (net < 0 || net >= net_count() ||
-      present_[static_cast<std::size_t>(net)] == 0) {
-    return nullptr;
-  }
-  return &stats_[static_cast<std::size_t>(net)];
-}
-
-SimResult simulate(const netlist::Netlist& netlist,
-                   const PiStatsTable& pi_stats, const celllib::Tech& tech,
-                   const SimOptions& options) {
-  return SimEngine(netlist, pi_stats, tech, options).run();
-}
 
 SimResult simulate(const netlist::Netlist& netlist,
                    const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
                    const celllib::Tech& tech, const SimOptions& options) {
-  return simulate(netlist, PiStatsTable(netlist.net_count(), pi_stats), tech,
-                  options);
+  return SimEngine(netlist, pi_stats, tech, options).run();
 }
 
 }  // namespace tr::sim

@@ -3,14 +3,13 @@
 // the SLS simulator the paper uses to validate the model (Table 3,
 // column S; substitution documented in DESIGN.md Sec. 4.2).
 //
-// This header holds the options/result types, the flat primary-input
-// statistics table and the single-replication entry point. The event
-// loop itself — the library's only one — lives in sim/sim_engine.hpp
-// (`SimEngine`), which precomputes the per-netlist tables once and can
-// run any number of independent replications; sim/monte_carlo.hpp runs replicated parallel
-// simulations with confidence intervals on top of it (DESIGN.md Sec. 8;
-// the hot-path architecture — scheduler, arenas, scratch reuse — is
-// Sec. 10).
+// This header holds the options/result types and the single-replication
+// entry point. The event loop itself — the library's only one — lives in
+// sim/sim_engine.hpp (`SimEngine`), which precomputes the per-netlist
+// tables once and can run any number of independent replications;
+// sim/monte_carlo.hpp runs replicated parallel simulations with
+// confidence intervals on top of it (DESIGN.md Sec. 8; the hot-path
+// architecture — scheduler, arenas, scratch reuse — is Sec. 10).
 //
 // Semantics:
 //  * Primary inputs are continuous-time 0-1 Markov processes: holding
@@ -49,22 +48,18 @@ namespace tr::sim {
 /// time — because both lanes realise the exact (time, level, seq) order.
 enum class SchedulerKind : std::uint8_t { automatic, calendar, heap };
 
-/// Commit-delay model selection. `automatic` preserves the legacy
-/// `use_gate_delays` flag (true = elmore, false = zero); the explicit
-/// values override it. `elmore` (per-pin, delay-accurate) is what the
-/// paper's column S uses; `zero` (glitch-free, delta-cycle levelized)
-/// backs model validation; `unit` (uniform per-arc delay, glitches
-/// retained) isolates glitching from delay magnitudes.
-enum class DelayModel : std::uint8_t { automatic, elmore, zero, unit };
+/// Commit-delay model selection. `elmore` (per-pin, delay-accurate) is
+/// what the paper's column S uses; `zero` (glitch-free, delta-cycle
+/// levelized) backs model validation; `unit` (uniform per-arc delay,
+/// glitches retained) isolates glitching from delay magnitudes.
+enum class DelayModel : std::uint8_t { elmore, zero, unit };
 
 struct SimOptions {
   double warmup_time = 2e-5;   ///< settle time before measuring [s]
   double measure_time = 1e-3;  ///< measurement window [s]
   std::uint64_t seed = 1;      ///< RNG seed for the input processes
   bool count_pi_energy = true; ///< include PI-net load switching energy
-  bool use_gate_delays = true; ///< legacy delay toggle (see delay_model)
-  /// Delay-model selection; `automatic` defers to use_gate_delays.
-  DelayModel delay_model = DelayModel::automatic;
+  DelayModel delay_model = DelayModel::elmore;
   /// Uniform per-arc commit delay under DelayModel::unit [s]; must be
   /// > 0 (an actual zero would silently change the glitch semantics —
   /// ask for DelayModel::zero instead).
@@ -76,35 +71,6 @@ struct SimOptions {
   /// yields no partial SimResult). The default token is inert and costs
   /// nothing.
   util::CancellationToken cancel;
-};
-
-/// Flat NetId-indexed primary-input statistics: the boundary type the
-/// simulation layer consumes (DESIGN.md Sec. 10.3). Built once — from a
-/// legacy std::map or filled directly — and then O(1)-indexed at the
-/// SimEngine / switch_sim / monte_carlo boundaries; every map-taking
-/// entry point is a thin convenience overload over this.
-class PiStatsTable {
-public:
-  PiStatsTable() = default;
-
-  /// An empty table over `net_count` nets (no PI has statistics yet).
-  explicit PiStatsTable(int net_count);
-
-  /// Flattens a NetId-keyed map over a `net_count`-net netlist.
-  PiStatsTable(int net_count,
-               const std::map<netlist::NetId, boolfn::SignalStats>& stats);
-
-  void set(netlist::NetId net, const boolfn::SignalStats& stats);
-
-  /// The statistics recorded for `net`, or nullptr when none were set
-  /// (also for out-of-range ids, so callers can probe safely).
-  const boolfn::SignalStats* find(netlist::NetId net) const noexcept;
-
-  int net_count() const noexcept { return static_cast<int>(stats_.size()); }
-
-private:
-  std::vector<boolfn::SignalStats> stats_;
-  std::vector<std::uint8_t> present_;
 };
 
 /// Time-weighted statistics observed on one net during the window.
@@ -146,11 +112,6 @@ struct SimResult {
 };
 
 /// Runs one replication. `pi_stats` must cover every primary input.
-SimResult simulate(const netlist::Netlist& netlist,
-                   const PiStatsTable& pi_stats, const celllib::Tech& tech,
-                   const SimOptions& options);
-
-/// Convenience overload over the legacy map boundary.
 SimResult simulate(const netlist::Netlist& netlist,
                    const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
                    const celllib::Tech& tech, const SimOptions& options);

@@ -158,6 +158,15 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
+const JsonValue& JsonValue::at(std::string_view key) const {
+  const JsonValue* value = find(key);
+  if (value == nullptr) {
+    throw Error("json: missing field '" + std::string(key) + "'",
+                ErrorCode::parse);
+  }
+  return *value;
+}
+
 bool JsonValue::as_bool(const std::string& what) const {
   require(kind == Kind::boolean, what, " must be true or false");
   return boolean;

@@ -105,6 +105,10 @@ struct JsonValue {
   /// Object member lookup; nullptr when absent (or not an object).
   const JsonValue* find(std::string_view key) const noexcept;
 
+  /// Required object member; throws tr::Error (ErrorCode::parse) naming
+  /// `key` when absent (or not an object).
+  const JsonValue& at(std::string_view key) const;
+
   /// Typed accessors; throw tr::Error (invalid_argument) naming `what`
   /// on a kind/range mismatch, so request parsing reports the field.
   bool as_bool(const std::string& what) const;

@@ -41,14 +41,13 @@ ValidationReport validate_power_model(
   const CircuitPower output_only =
       circuit_power(netlist, activity, tech, ModelKind::output_only);
 
-  // Simulation side: the replicated oracle, fed through the flat
-  // NetId-indexed statistics boundary (DESIGN.md Sec. 10.3). PI energy
-  // must be counted so the simulated PI column exists; the per-gate
-  // energies never include it either way.
+  // Simulation side: the replicated oracle. PI energy must be counted so
+  // the simulated PI column exists; the per-gate energies never include
+  // it either way.
   sim::MonteCarloOptions mc = options.mc;
   mc.sim.count_pi_energy = true;
-  const sim::SimSummary summary = sim::monte_carlo(
-      netlist, sim::PiStatsTable(netlist.net_count(), pi_stats), tech, mc);
+  const sim::SimSummary summary =
+      sim::monte_carlo(netlist, pi_stats, tech, mc);
   TR_ASSERT(summary.measure_time > 0.0);
   const double to_watts = 1.0 / summary.measure_time;
 

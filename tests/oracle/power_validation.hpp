@@ -40,11 +40,11 @@ namespace tr::power {
 struct ValidationOptions {
   /// Monte-Carlo oracle configuration. Defaults to zero-delay mode: the
   /// stochastic model cannot see glitches, so model validation is only
-  /// meaningful on glitch-free simulations (set `mc.sim.use_gate_delays`
-  /// back to true to *measure* the glitch gap instead of gating on it).
+  /// meaningful on glitch-free simulations (set `mc.sim.delay_model`
+  /// back to elmore to *measure* the glitch gap instead of gating on it).
   sim::MonteCarloOptions mc = [] {
     sim::MonteCarloOptions o;
-    o.sim.use_gate_delays = false;
+    o.sim.delay_model = sim::DelayModel::zero;
     return o;
   }();
   /// Sharp-claim allowance on top of every 95% CI (DESIGN.md Sec. 8.4).

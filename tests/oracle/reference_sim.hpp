@@ -30,10 +30,6 @@ public:
   /// per-gate tables. The netlist, tech and library must outlive the
   /// oracle.
   ReferenceSim(const netlist::Netlist& netlist,
-               const sim::PiStatsTable& pi_stats, const celllib::Tech& tech,
-               const sim::SimOptions& options);
-
-  ReferenceSim(const netlist::Netlist& netlist,
                const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
                const celllib::Tech& tech, const sim::SimOptions& options);
 
@@ -63,12 +59,12 @@ private:
   struct Replication;  // mutable state of one run (reference_sim.cpp)
 
   void build_gates();
-  void build_pis(const sim::PiStatsTable& pi_stats);
+  void build_pis(
+      const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats);
 
   const netlist::Netlist& netlist_;
   const celllib::Tech& tech_;
   sim::SimOptions options_;
-  sim::DelayModel delay_model_ = sim::DelayModel::elmore;
 
   std::vector<GateTables> gates_;          ///< indexed by GateId
   std::vector<PiProcess> pi_;              ///< indexed by NetId

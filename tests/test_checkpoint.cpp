@@ -295,6 +295,43 @@ TEST_F(CheckpointTest, StaleEntryForADifferentCircuitIsRejected) {
   EXPECT_FALSE(resumed[1].resumed.has_value());
 }
 
+TEST_F(CheckpointTest, RejectedTrailingDecisionLeavesTheNetlistUntouched) {
+  const celllib::CellLibrary library = celllib::CellLibrary::standard();
+  BatchOptions options;
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
+
+  std::vector<BatchCircuit> original = load_batch(library);
+  CheckpointJournal journal(dir_, false, manifest);
+  const std::string uninterrupted =
+      run_journaled(library, original, options, journal);
+
+  // A frame-valid entry whose valid decisions are followed by one for a
+  // net that does not exist: the whole entry is rejected, and none of
+  // its earlier decisions may stay applied to the circuit that re-runs.
+  const std::string victim = entry_name(1, "fulladder");
+  const util::journal::ReadResult entry =
+      util::journal::read_entry(dir_ + "/" + victim);
+  ASSERT_EQ(entry.status, util::journal::EntryStatus::ok);
+  std::string payload = entry.payload;
+  const std::size_t close = payload.rfind(']');
+  ASSERT_NE(close, std::string::npos);
+  ASSERT_NE(payload.find("\"output\""), std::string::npos);
+  payload.insert(close,
+                 R"(, {"output": "no_such_net", "cell": "nand2", )"
+                 R"("config": "x", "power_before_w": 0, "power_after_w": 0})");
+  util::journal::write_entry(dir_, victim, payload);
+
+  std::vector<BatchCircuit> resumed = load_batch(library);
+  CheckpointJournal resume(dir_, true, manifest);
+  EXPECT_EQ(resume.load(resumed), static_cast<int>(kSpecs.size()) - 1);
+  ASSERT_EQ(resume.warnings().size(), 1u);
+  EXPECT_NE(resume.warnings()[0].message.find("no_such_net"),
+            std::string::npos);
+  EXPECT_FALSE(resumed[1].resumed.has_value());
+
+  EXPECT_EQ(run_journaled(library, resumed, options, resume), uninterrupted);
+}
+
 TEST_F(CheckpointTest, OnlyOkCircuitsAreJournaled) {
   const celllib::CellLibrary library = celllib::CellLibrary::standard();
   BatchCircuit circuit = make_scenario_circuit_guarded(

@@ -1,4 +1,4 @@
-// Resilient client + idempotency cache (ISSUE 10, server/retry_client +
+// Resilient client + idempotency cache (server/client's retry loop +
 // OptimizeService replay): bounded retries with deterministic jittered
 // backoff, per-read timeouts against silent peers, retry-through of
 // injected daemon faults, immediate return of non-retryable errors, and
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "server/client.hpp"
-#include "server/retry_client.hpp"
 #include "server/server.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"

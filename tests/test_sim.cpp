@@ -82,7 +82,7 @@ TEST(SwitchSim, InverterChainPropagatesEveryTransition) {
   const NetId a = nl.find_net("a");
   const Tech tech;
   SimOptions opt;
-  opt.use_gate_delays = false;
+  opt.delay_model = DelayModel::zero;
   opt.measure_time = 2e-3;
   opt.seed = 7;
   const double d = 2e5;
@@ -103,7 +103,7 @@ TEST(SwitchSim, EnergyAccountingMatchesTransitionCounts) {
   const NetId a = nl.find_net("a");
   const Tech tech;
   SimOptions opt;
-  opt.use_gate_delays = false;
+  opt.delay_model = DelayModel::zero;
   opt.seed = 8;
   opt.measure_time = 1e-3;
   const SimResult r = simulate(nl, {{a, SignalStats{0.5, 1e5}}}, tech, opt);
@@ -173,7 +173,7 @@ TEST(SwitchSim, ZeroDelayDensityTracksNajmOnReadOnceCircuit) {
   std::map<NetId, SignalStats> stats;
   for (NetId id : nl.primary_inputs()) stats[id] = {0.5, 1e5};
   SimOptions opt;
-  opt.use_gate_delays = false;
+  opt.delay_model = DelayModel::zero;
   opt.measure_time = 6e-3;
   opt.seed = 11;
   const SimResult sim = simulate(nl, stats, tech, opt);
@@ -196,7 +196,7 @@ TEST(SwitchSim, CorrelationMakesNajmUnderestimateParityTrees) {
   std::map<NetId, SignalStats> stats;
   for (NetId id : nl.primary_inputs()) stats[id] = {0.5, 1e5};
   SimOptions opt;
-  opt.use_gate_delays = false;
+  opt.delay_model = DelayModel::zero;
   opt.measure_time = 4e-3;
   opt.seed = 11;
   const SimResult sim = simulate(nl, stats, tech, opt);
@@ -234,9 +234,9 @@ TEST(SwitchSim, GateDelaysCreateGlitches) {
   SimOptions opt;
   opt.measure_time = 2e-3;
   opt.seed = 12;
-  opt.use_gate_delays = true;
+  opt.delay_model = DelayModel::elmore;
   const SimResult with_delays = simulate(nl, stats, tech, opt);
-  opt.use_gate_delays = false;
+  opt.delay_model = DelayModel::zero;
   const SimResult zero_delay = simulate(nl, stats, tech, opt);
 
   const double glitch_density =

@@ -112,7 +112,7 @@ TEST(SimDifferential, RippleCarryBothDelayModels) {
   opt.warmup_time = 1e-5;
   for (bool delays : {true, false}) {
     SCOPED_TRACE(testing::Message() << "delays=" << delays);
-    opt.use_gate_delays = delays;
+    opt.delay_model = delays ? DelayModel::elmore : DelayModel::zero;
     differential_check(nl, stats, opt, {1, 2, 42, 987654321});
   }
 }
@@ -198,7 +198,7 @@ TEST(SimDifferential, RandomSpTreeNetlists) {
     SimOptions opt;
     opt.measure_time = 3e-4;
     opt.warmup_time = 1e-5;
-    opt.use_gate_delays = (trial % 2) == 0;
+    opt.delay_model = trial % 2 == 0 ? DelayModel::elmore : DelayModel::zero;
     differential_check(nl, stats, opt, {11 + static_cast<std::uint64_t>(trial)});
   }
 }
@@ -263,23 +263,6 @@ TEST(SimDifferential, FrozenAndMixedInputProcesses) {
   std::map<NetId, SignalStats> mixed = frozen;
   mixed[pis.front()] = {0.5, 3e5};
   differential_check(nl, mixed, opt, {3, 4});
-}
-
-TEST(SimDifferential, PiStatsTableMatchesMapBoundary) {
-  const Netlist nl = benchgen::ripple_carry_adder(lib(), 3);
-  std::map<NetId, SignalStats> stats;
-  for (NetId id : nl.primary_inputs()) stats[id] = {0.3, 1e5};
-  const Tech tech;
-  SimOptions opt;
-  opt.measure_time = 4e-4;
-  const SimEngine from_map(nl, stats, tech, opt);
-  const SimEngine from_table(
-      nl, PiStatsTable(nl.net_count(), stats), tech, opt);
-  expect_results_identical(from_map.run(9), from_table.run(9));
-
-  // Missing-PI validation holds for the flat boundary too.
-  PiStatsTable incomplete(nl.net_count());
-  EXPECT_THROW(SimEngine(nl, incomplete, tech, opt), Error);
 }
 
 TEST(SimDifferential, MonteCarloSummariesMatchPreRewriteAccumulation) {

@@ -49,7 +49,7 @@ TEST(SimProperties, EnergyAccountingIdentityOnRandomSpCircuits) {
       opt.seed = 1000 + static_cast<std::uint64_t>(trial);
       opt.measure_time = 4e-4;
       opt.warmup_time = 1e-5;
-      opt.use_gate_delays = delays;
+      opt.delay_model = delays ? DelayModel::elmore : DelayModel::zero;
       const SimResult r = simulate(nl, stats, tech, opt);
       ASSERT_FALSE(r.truncated);
       ASSERT_GT(r.energy, 0.0);

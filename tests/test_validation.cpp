@@ -233,7 +233,7 @@ TEST(Validation, ReconvergentGlitcherIsFlaggedAsDisagreement) {
   EXPECT_FALSE(glitch_free.all_within_tolerance());
 
   ValidationOptions delayed = default_options(17);
-  delayed.mc.sim.use_gate_delays = true;
+  delayed.mc.sim.delay_model = sim::DelayModel::elmore;
   const ValidationReport glitchy =
       validate_power_model(nl, stats, tech, delayed);
   ASSERT_FALSE(glitchy.truncated);

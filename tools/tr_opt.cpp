@@ -59,13 +59,11 @@
 
 // The daemon and client settings are parsed on every platform; only
 // TR_HAVE_SERVER builds link the server that runs them.
-#include "server/retry_client.hpp"
+#include "server/client.hpp"
 #include "server/server.hpp"
 
 #ifdef TR_HAVE_SERVER
 #include <csignal>
-
-#include "server/client.hpp"
 #endif
 
 namespace {
@@ -394,20 +392,16 @@ int run_serve(const ToolOptions& o) {
 int connect_exit_code(const server::ClientResult& result) {
   const util::JsonValue doc = util::json_parse(result.payload);
   if (result.type == server::kFrameResponse) {
-    const util::JsonValue* totals = doc.find("totals");
-    require(totals != nullptr, "client: response carries no totals");
-    if (totals->find("circuits_error")->as_i64("circuits_error") > 0) {
-      return 3;
-    }
-    if (totals->find("circuits_cancelled")->as_i64("circuits_cancelled") >
-        0) {
+    const util::JsonValue& totals = doc.at("totals");
+    if (totals.at("circuits_error").as_i64("circuits_error") > 0) return 3;
+    if (totals.at("circuits_cancelled").as_i64("circuits_cancelled") > 0) {
       return 4;
     }
     return 0;
   }
-  const std::string& code = doc.find("code")->as_string("code");
+  const std::string& code = doc.at("code").as_string("code");
   std::cerr << "tr_opt: server error [" << code
-            << "]: " << doc.find("message")->as_string("message") << "\n";
+            << "]: " << doc.at("message").as_string("message") << "\n";
   return error_exit_code(code);
 }
 
