@@ -20,12 +20,8 @@ namespace {
 /// signal is complemented at most once.
 class MapContext {
 public:
-  MapContext(const LogicNetwork& network, const CellLibrary& library,
-             const MapOptions& options)
-      : network_(network),
-        library_(library),
-        options_(options),
-        out_(library, network.model()) {}
+  MapContext(const LogicNetwork& network, const CellLibrary& library)
+      : network_(network), library_(library), out_(library, network.model()) {}
 
   Netlist run() {
     for (const std::string& name : network_.inputs()) {
@@ -138,22 +134,20 @@ private:
     }
 
     // Complemented match + inverter.
-    if (options_.try_complement) {
-      if (const auto match = library_.match_function(~f)) {
-        const auto& [cell_name, pin_to_var] = *match;
-        std::vector<NetId> pins;
-        pins.reserve(pin_to_var.size());
-        for (int var : pin_to_var) {
-          pins.push_back(fanin_nets[static_cast<std::size_t>(var)]);
-        }
-        const NetId inner = fresh_net();
-        out_.add_gate(fresh_instance(cell_name), cell_name, std::move(pins),
-                      inner);
-        const NetId net = out_.add_net(node.name);
-        make_inv(inner, net);
-        signal_net_.emplace(node.name, net);
-        return;
+    if (const auto match = library_.match_function(~f)) {
+      const auto& [cell_name, pin_to_var] = *match;
+      std::vector<NetId> pins;
+      pins.reserve(pin_to_var.size());
+      for (int var : pin_to_var) {
+        pins.push_back(fanin_nets[static_cast<std::size_t>(var)]);
       }
+      const NetId inner = fresh_net();
+      out_.add_gate(fresh_instance(cell_name), cell_name, std::move(pins),
+                    inner);
+      const NetId net = out_.add_net(node.name);
+      make_inv(inner, net);
+      signal_net_.emplace(node.name, net);
+      return;
     }
 
     // Two-level NAND-NAND over an irredundant SOP:
@@ -186,7 +180,6 @@ private:
 
   const LogicNetwork& network_;
   const CellLibrary& library_;
-  MapOptions options_;
   Netlist out_;
   std::map<std::string, NetId> signal_net_;
   std::map<NetId, NetId> inverter_cache_;
@@ -196,10 +189,9 @@ private:
 
 }  // namespace
 
-Netlist map_network(const LogicNetwork& network, const CellLibrary& library,
-                    const MapOptions& options) {
+Netlist map_network(const LogicNetwork& network, const CellLibrary& library) {
   network.validate();
-  return MapContext(network, library, options).run();
+  return MapContext(network, library).run();
 }
 
 }  // namespace tr::mapper

@@ -3,8 +3,9 @@
 //
 // Strategy (paper Sec. 5.1 maps the MCNC circuits "into the gate library
 // shown in Table 2"):
-//   1. direct match: the node function (or its complement, plus an
-//      inverter) equals a library cell under an input permutation —
+//   1. direct match: the node function equals a library cell under an
+//      input permutation, or else its complement does (mapped with an
+//      inverter after the cell; always tried, there is no option) —
 //      this catches NAND/NOR/AOI/OAI shapes directly;
 //   2. otherwise two-level NAND-NAND decomposition of an irredundant SOP
 //      cover (Minato-Morreale ISOP), with wide ANDs split across
@@ -19,17 +20,10 @@
 
 namespace tr::mapper {
 
-struct MapOptions {
-  /// Also try matching the complemented node function followed by an
-  /// inverter before falling back to SOP decomposition.
-  bool try_complement = true;
-};
-
 /// Maps a generic logic network onto `library`. Throws tr::Error on
 /// constant nodes (the combinational power flow has no constant sources).
 /// The library must outlive the returned netlist.
 netlist::Netlist map_network(const netlist::LogicNetwork& network,
-                             const celllib::CellLibrary& library,
-                             const MapOptions& options = {});
+                             const celllib::CellLibrary& library);
 
 }  // namespace tr::mapper

@@ -1,7 +1,6 @@
 #include "netlist/config_io.hpp"
 
 #include <istream>
-#include <map>
 #include <ostream>
 
 #include "gategraph/sp_parse.hpp"
@@ -9,6 +8,17 @@
 #include "util/strings.hpp"
 
 namespace tr::netlist {
+
+GateId apply_config_key(Netlist& netlist, const std::string& output_net,
+                        const std::string& key) {
+  const NetId net = netlist.find_net(output_net);
+  if (net < 0) return -1;
+  const GateId gate = netlist.net(net).driver;
+  if (gate < 0) return -1;
+  const int inputs = static_cast<int>(netlist.gate(gate).inputs.size());
+  netlist.set_config(gate, gategraph::topology_from_key(key, inputs));
+  return gate;
+}
 
 void write_config_sidecar(const Netlist& netlist, std::ostream& out) {
   out << "# reordering configuration sidecar v1\n";
@@ -24,11 +34,6 @@ void write_config_sidecar(const Netlist& netlist, std::ostream& out) {
 
 int read_config_sidecar(Netlist& netlist, std::istream& in,
                         const std::string& source_name) {
-  std::map<std::string, GateId> by_output_net;
-  for (GateId g = 0; g < netlist.gate_count(); ++g) {
-    by_output_net.emplace(netlist.net(netlist.gate(g).output).name, g);
-  }
-
   int applied = 0;
   std::string line;
   int line_no = 0;
@@ -41,16 +46,10 @@ int read_config_sidecar(Netlist& netlist, std::istream& in,
       throw ParseError(source_name, line_no,
                        "expected '<instance> <config-key>'");
     }
-    const auto it = by_output_net.find(tokens[0]);
-    if (it == by_output_net.end()) {
+    if (apply_config_key(netlist, tokens[0], tokens[1]) < 0) {
       throw ParseError(source_name, line_no,
                        "no gate drives a net named '" + tokens[0] + "'");
     }
-    const GateInst& gate = netlist.gate(it->second);
-    const int inputs = static_cast<int>(gate.inputs.size());
-    // set_config validates that the key computes the same function.
-    netlist.set_config(it->second,
-                       gategraph::topology_from_key(tokens[1], inputs));
     ++applied;
   }
   return applied;

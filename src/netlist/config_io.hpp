@@ -11,13 +11,20 @@
 //   # reordering configuration sidecar v1
 //   <output-net-name> <nmos-tree>|<pmos-tree>
 //
-// written next to the BLIF and re-applied after reading it back.
+// written next to the BLIF and re-applied after reading it back. The
+// journal's record reader (opt/batch_report.hpp) shares apply_config_key.
 
 #include <iosfwd>
 
 #include "netlist/netlist.hpp"
 
 namespace tr::netlist {
+
+/// Gives the gate driving net `output_net` the configuration `key`
+/// (set_config checks its function). Returns that gate, or -1, netlist
+/// untouched, when no gate drives such a net.
+GateId apply_config_key(Netlist& netlist, const std::string& output_net,
+                        const std::string& key);
 
 /// Writes one line per gate whose configuration differs from the cell's
 /// canonical topology (identical configurations are omitted).

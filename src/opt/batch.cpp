@@ -1,6 +1,8 @@
 #include "opt/batch.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "delay/elmore.hpp"
 #include "opt/scenario.hpp"
@@ -70,10 +72,12 @@ BatchReport BatchOptimizer::run(std::vector<BatchCircuit>& batch) const {
   OptimizeOptions per_circuit = options_.opt;
   // threads == 0 would route every circuit through the process-wide
   // shared pool and serialise the batch on its guard mutex; the batch
-  // driver always hands each optimize() its own explicit worker count.
-  per_circuit.threads = options_.threads_per_circuit == 0
-                            ? 1
-                            : options_.threads_per_circuit;
+  // driver always hands each optimize() its own explicit worker count,
+  // resolving 0 to the hardware thread count as --jobs 0 does.
+  per_circuit.threads =
+      options_.threads_per_circuit == 0
+          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
+          : options_.threads_per_circuit;
 
   per_circuit.cancel = options_.cancel;
 

@@ -107,14 +107,15 @@ struct BatchCircuit {
   /// journaled result of a previous run, its committed configurations
   /// already re-applied to `netlist`. BatchOptimizer adopts the record
   /// verbatim instead of optimizing — the byte-identity contract relies
-  /// on the journal round-tripping every rendered value exactly.
+  /// on the journal holding the report's own circuit object.
   std::optional<BatchCircuitResult> resumed;
 };
 
 struct BatchOptions {
   /// Circuit-level workers; 0 = one per hardware thread, 1 = serial.
   int jobs = 0;
-  /// Gate-level workers inside each optimize() call (the second level).
+  /// Gate-level workers inside each optimize() call (the second level);
+  /// 0 = one per hardware thread, each circuit on its own pool.
   /// Overrides OptimizeOptions::threads. Keep at 1 when the batch is
   /// wide; raise it for small batches of large circuits.
   int threads_per_circuit = 1;

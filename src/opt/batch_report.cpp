@@ -3,6 +3,7 @@
 #include <ostream>
 #include <string>
 
+#include "netlist/config_io.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -15,6 +16,26 @@ using util::JsonWriter;
 
 void write_error_object(JsonWriter& w, const CircuitError& error) {
   w.begin_object();
+  write_error_members(w, error);
+  w.end_object();
+}
+
+void write_cache_object(JsonWriter& w, const celllib::CatalogCacheStats& c) {
+  w.begin_object();
+  w.key("hits");
+  w.value(c.hits);
+  w.key("misses");
+  w.value(c.misses);
+  w.key("lookups");
+  w.value(c.lookups());
+  w.key("hit_rate");
+  w.value(c.hit_rate());
+  w.end_object();
+}
+
+}  // namespace
+
+void write_error_members(JsonWriter& w, const CircuitError& error) {
   w.key("code");
   w.value(error_code_name(error.code));
   // Schema v4: the machine-readable retry classification rides next to
@@ -25,7 +46,6 @@ void write_error_object(JsonWriter& w, const CircuitError& error) {
   w.value(error.site);
   w.key("message");
   w.value(error.message);
-  w.end_object();
 }
 
 void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
@@ -110,20 +130,65 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.end_object();
 }
 
-void write_cache_object(JsonWriter& w, const celllib::CatalogCacheStats& c) {
-  w.begin_object();
-  w.key("hits");
-  w.value(c.hits);
-  w.key("misses");
-  w.value(c.misses);
-  w.key("lookups");
-  w.value(c.lookups());
-  w.key("hit_rate");
-  w.value(c.hit_rate());
-  w.end_object();
-}
+BatchCircuitResult read_circuit_object(const util::JsonValue& object,
+                                       BatchCircuit& circuit) {
+  const auto count = [&](const char* key) {
+    return static_cast<int>(object.at(key).as_i64(key));
+  };
+  const auto number = [](const util::JsonValue& doc, const char* key) {
+    return doc.at(key).as_double(key);
+  };
+  // Only an ok object carries "gates" and the numbers below.
+  const std::string& name = object.at("name").as_string("name");
+  BatchCircuitResult result;
+  result.name = circuit.name;
+  result.gates = count("gates");
+  if (name != circuit.name || result.gates != circuit.netlist.gate_count()) {
+    throw Error("circuit object of '" + name + "' with " +
+                    std::to_string(result.gates) + " gates does not fit '" +
+                    circuit.name + "' with " +
+                    std::to_string(circuit.netlist.gate_count()),
+                ErrorCode::invalid_argument);
+  }
+  result.primary_inputs = count("primary_inputs");
+  result.primary_outputs = count("primary_outputs");
+  result.report.threads_used = count("threads");
+  result.report.model_power_before = number(object, "model_power_before_w");
+  result.report.model_power_after = number(object, "model_power_after_w");
+  result.critical_path_before = number(object, "critical_path_before_s");
+  result.critical_path_after = number(object, "critical_path_after_s");
+  result.report.gates_changed = count("gates_changed");
+  result.report.configs_rejected_by_delay = count("configs_rejected_by_delay");
+  result.report.configs_rejected_by_instance =
+      count("configs_rejected_by_instance");
 
-}  // namespace
+  // The netlist loads deterministically, so each output net names the
+  // gate the original run rewrote. The configurations go onto a copy
+  // that replaces the netlist only once every entry applies.
+  const util::JsonValue& configs = object.at("gate_configs");
+  if (configs.kind != util::JsonValue::Kind::array) {
+    throw Error("gate_configs must be an array", ErrorCode::parse);
+  }
+  netlist::Netlist applied = circuit.netlist;
+  for (const util::JsonValue& entry : configs.array) {
+    const std::string& output = entry.at("output").as_string("output");
+    const std::string& cell = entry.at("cell").as_string("cell");
+    GateDecision decision;
+    decision.gate = netlist::apply_config_key(
+        applied, output, entry.at("config").as_string("config"));
+    if (decision.gate < 0 || applied.gate(decision.gate).cell != cell) {
+      throw Error("no '" + cell + "' gate drives a net named '" + output +
+                      "'",
+                  ErrorCode::invalid_argument);
+    }
+    decision.changed = true;
+    decision.original_power = number(entry, "power_before_w");
+    decision.chosen_power = number(entry, "power_after_w");
+    result.report.decisions.push_back(decision);
+  }
+  circuit.netlist = std::move(applied);
+  return result;
+}
 
 void write_batch_json(const std::vector<BatchCircuit>& batch,
                       const BatchReport& report, const BatchOptions& options,

@@ -7,10 +7,19 @@
 // function of (circuits, options, seed), byte-identical across runs and
 // across --jobs values. Goldens disable the wall-clock block with
 // `include_timing = false`.
+//
+// This module owns the per-circuit record both ways: a checkpoint entry
+// (opt/checkpoint) frames the circuit object, read back by
+// read_circuit_object. Daemon error frames reuse write_error_members.
 
 #include <iosfwd>
 
 #include "opt/batch.hpp"
+
+namespace tr::util {
+class JsonWriter;
+struct JsonValue;
+}  // namespace tr::util
 
 namespace tr::opt {
 
@@ -36,6 +45,21 @@ struct BatchJsonOptions {
 void write_batch_json(const std::vector<BatchCircuit>& batch,
                       const BatchReport& report, const BatchOptions& options,
                       std::ostream& out, const BatchJsonOptions& json = {});
+
+/// Writes code, retryable, site and message into the open object.
+void write_error_members(util::JsonWriter& w, const CircuitError& error);
+
+/// Writes one circuit's object (an entry of the "circuits" array).
+void write_circuit_object(util::JsonWriter& w, const BatchCircuit& circuit,
+                          const BatchCircuitResult& result,
+                          const BatchJsonOptions& json);
+
+/// Reads an ok circuit object written with `include_gate_configs` back
+/// onto `circuit`, freshly loaded: checks the name and gate count and
+/// re-applies each "gate_configs" entry by "output", "cell" and
+/// "config". Throws tr::Error, `circuit` untouched, on any misfit.
+BatchCircuitResult read_circuit_object(const util::JsonValue& object,
+                                       BatchCircuit& circuit);
 
 /// Writes one circuit's JSON document (the same object shape as the
 /// entries of the whole-batch document's "circuits" array).

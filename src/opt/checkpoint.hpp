@@ -5,25 +5,23 @@
 // Long batches (the syn1000..syn8000 tier, budgeted sweeps) lose every
 // completed circuit to a SIGKILL/OOM/reboot without durable progress.
 // A CheckpointJournal fixes that: each circuit that completes with
-// status `ok` is serialized — its report numerics plus the committed
-// per-gate configurations — into one crash-consistent journal entry
-// (util/journal: fsync'd temp file + atomic rename), and a resumed run
-// loads those entries, re-applies the configurations to freshly loaded
-// netlists, and skips the optimization work entirely.
+// status `ok` becomes one crash-consistent journal entry (util/journal:
+// fsync'd temp file + atomic rename) that frames the report's own
+// circuit object (opt/batch_report) with a version and the batch index.
+// A resumed run reads each object back onto a freshly loaded netlist
+// (read_circuit_object) and skips the optimization work entirely.
 //
 // The byte-identity contract: a `--checkpoint DIR --resume` run emits
 // output byte-identical to an uninterrupted run (under --no-timing
 // --no-cache-stats, the same determinism carve-outs as the daemon —
-// wall clock and cache deltas are nondeterministic by nature). This
-// works because every journaled number is rendered by the same
-// shortest-round-trip JsonWriter that renders reports, so parse-back
-// reproduces the identical IEEE-754 value, and the configurations are
-// re-applied to a deterministically reloaded netlist.
+// wall clock and cache deltas are nondeterministic by nature). The
+// shortest-round-trip JsonWriter makes parse-back reproduce every
+// IEEE-754 value, and the netlist reloads deterministically.
 //
-// Compatibility is guarded by a manifest of the option table's
-// shapes_output entries (opt/run_options.hpp), written on the fresh run
-// and byte-compared on resume — resuming under different options is an
-// error, never a silently mixed report.
+// Compatibility is guarded by a manifest of the entry version and the
+// option table's shapes_output entries (opt/run_options.hpp), written
+// on the fresh run and byte-compared on resume — resuming under
+// different options is an error, never a silently mixed report.
 //
 // Damage tolerance: a torn/truncated/bit-flipped/wrong-checksum entry
 // (the crash window, disk rot) is detected by the journal frame,
@@ -70,11 +68,11 @@ public:
   /// (invalid_argument) and on I/O failure (resource).
   CheckpointJournal(std::string dir, bool resume, std::string manifest);
 
-  /// Resume-loads every readable entry into `batch`: validates it
-  /// against the loaded circuit, re-applies the journaled gate
-  /// configurations to the netlist and fills BatchCircuit::resumed.
-  /// Damaged or stale entries become warnings and their circuits are
-  /// left to re-run. Returns the number of circuits resumed.
+  /// Resume-loads every readable entry into `batch`: checks its version
+  /// and index, reads its circuit object back onto the loaded circuit
+  /// and fills BatchCircuit::resumed. Damaged or stale entries become
+  /// warnings and their circuits are left to re-run. Returns the number
+  /// of circuits resumed.
   int load(std::vector<BatchCircuit>& batch);
 
   /// Journals one completed circuit (call only for status == ok).
@@ -94,10 +92,5 @@ private:
   mutable std::mutex mutex_;
   std::vector<JournalWarning> warnings_;
 };
-
-/// Serializes one ok circuit result to an entry payload (exposed for
-/// the corruption-corpus tests, which damage real payloads).
-std::string render_entry(std::size_t index, const BatchCircuit& circuit,
-                         const BatchCircuitResult& result);
 
 }  // namespace tr::opt::checkpoint

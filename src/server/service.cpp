@@ -66,14 +66,7 @@ std::string render_error(const opt::CircuitError& error) {
   w.begin_object();
   w.key("type");
   w.value("error");
-  w.key("code");
-  w.value(error_code_name(error.code));
-  w.key("retryable");
-  w.value(is_retryable(error.code));
-  w.key("site");
-  w.value(error.site);
-  w.key("message");
-  w.value(error.message);
+  opt::write_error_members(w, error);
   w.end_object();
   return out.str();
 }
@@ -235,8 +228,11 @@ void OptimizeService::execute(Job& job) noexcept {
     write_batch_json(batch, report, options, out, json);
     const std::string payload = out.str();
     // Remember before sending: if the client dies between our send and
-    // its read, its retry must find the entry already present.
-    if (!job.request.request_id.empty()) {
+    // its read, its retry must find the entry already present. A payload
+    // past the frame limit is answered with an error frame instead, and
+    // error frames are never remembered.
+    if (!job.request.request_id.empty() &&
+        payload.size() <= job.sink->max_response_bytes()) {
       remember_response(job.request.request_id, payload);
     }
     if (deliver_response(*job.sink, payload)) {

@@ -43,8 +43,8 @@ namespace tr::server {
 std::string render_progress(std::size_t index,
                             const opt::BatchCircuitResult& result);
 
-/// Renders one error frame payload:
-///   {"type":"error","code":CODE,"site":SITE,"message":MESSAGE}
+/// Renders one error frame payload (opt::write_error_members):
+///   {"type":"error","code":CODE,"retryable":B,"site":SITE,"message":MSG}
 std::string render_error(const opt::CircuitError& error);
 
 /// Streaming result consumer for one request. Methods are called from
@@ -63,7 +63,7 @@ public:
   virtual void on_error(const std::string& payload) = 0;
   /// Largest response payload the sink can deliver. The service answers
   /// a larger one with a non-retryable error frame instead of
-  /// on_response, and counts the request as an error.
+  /// on_response, counts the request as an error, never replays it.
   virtual std::size_t max_response_bytes() const noexcept {
     return std::numeric_limits<std::size_t>::max();
   }
@@ -80,8 +80,9 @@ struct ServiceConfig {
   std::size_t catalog_capacity = 0;
   /// Bound on remembered (request_id -> response) replay entries, LRU
   /// evicted; 0 disables idempotent replay entirely. Only completed
-  /// *response* payloads are remembered — error frames re-execute, so a
-  /// transient failure is never replayed forever (DESIGN.md Sec. 15.4).
+  /// *response* payloads that fit the frame limit are remembered —
+  /// error frames re-execute, so a transient failure is never replayed
+  /// forever (DESIGN.md Sec. 15.4).
   std::size_t replay_capacity = 64;
 };
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "benchgen/classic.hpp"
 #include "benchgen/suite.hpp"
@@ -131,6 +133,24 @@ TEST(BatchOptimizer, DeterministicAcrossWorkerCounts) {
                                reports[r].circuits[i].report);
       expect_identical_configs(batches[0][i].netlist, batches[r][i].netlist);
     }
+  }
+}
+
+TEST(BatchOptimizer, ThreadsPerCircuitZeroMeansHardware) {
+  // 0 = one gate worker per hardware thread, as --jobs 0 is; each
+  // circuit reports the pool size it really used.
+  const CellLibrary library = CellLibrary::standard();
+  const Tech tech;
+  std::vector<BatchCircuit> batch = make_batch(library, {"b1", "cm82a"});
+  BatchOptions options;
+  options.jobs = 1;
+  options.threads_per_circuit = 0;
+  const BatchReport report = BatchOptimizer(library, tech, options).run(batch);
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const BatchCircuitResult& result : report.circuits) {
+    ASSERT_EQ(result.status, CircuitStatus::ok) << result.name;
+    EXPECT_EQ(result.report.threads_used, hardware) << result.name;
   }
 }
 

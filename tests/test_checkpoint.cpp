@@ -1,8 +1,10 @@
 // Checkpoint/resume journaling (ISSUE 10, opt/checkpoint): the
 // byte-identity contract — a resumed batch renders output identical to
 // an uninterrupted run — plus the manifest fingerprint, damaged-entry
-// fallback (warn + re-run, never trust), stale-entry validation, and
-// the ok-only journaling rule. In-process equivalent of the
+// fallback (warn + re-run, never trust), stale-entry validation (an
+// entry of another version included), the ok-only journaling rule, and
+// the round trip of the one per-circuit record through
+// read_circuit_object (opt/batch_report). In-process equivalent of the
 // chaos_soak.sh phase-1 drill, minus the SIGKILL.
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "opt/run_options.hpp"
 #include "util/error.hpp"
 #include "util/journal.hpp"
+#include "util/json.hpp"
 
 namespace tr::opt::checkpoint {
 namespace {
@@ -330,6 +333,106 @@ TEST_F(CheckpointTest, RejectedTrailingDecisionLeavesTheNetlistUntouched) {
   EXPECT_FALSE(resumed[1].resumed.has_value());
 
   EXPECT_EQ(run_journaled(library, resumed, options, resume), uninterrupted);
+}
+
+TEST_F(CheckpointTest, VersionOneEntryWarnsAndReruns) {
+  const celllib::CellLibrary library = celllib::CellLibrary::standard();
+  BatchOptions options;
+  const std::string manifest = manifest_of(kSpecs, 'A', 1, options);
+
+  std::vector<BatchCircuit> original = load_batch(library);
+  CheckpointJournal journal(dir_, false, manifest);
+  const std::string uninterrupted =
+      run_journaled(library, original, options, journal);
+
+  // c17's entry in the version-1 format (a field list of its own, the
+  // changed gates under "decisions"), framed validly inside a current
+  // directory: it is stale, never read as a current entry.
+  const std::string victim = entry_name(0, "c17");
+  util::journal::write_entry(dir_, victim, R"json({
+  "journal_version": 1,
+  "index": 0,
+  "name": "c17",
+  "gates": 6,
+  "primary_inputs": 5,
+  "primary_outputs": 2,
+  "threads": 1,
+  "model_power_before_w": 1.4874833205017656e-06,
+  "model_power_after_w": 1.4044760524421406e-06,
+  "critical_path_before_s": 1.104e-09,
+  "critical_path_after_s": 1.104e-09,
+  "gates_changed": 4,
+  "configs_rejected_by_delay": 0,
+  "configs_rejected_by_instance": 0,
+  "decisions": [
+    {
+      "output": "g10",
+      "cell": "nand2",
+      "config": "S(T1,T0)|P(T0,T1)",
+      "power_before_w": 1.4803622810560775e-07,
+      "power_after_w": 1.3030866326411668e-07
+    }
+  ]
+}
+)json");
+
+  std::vector<BatchCircuit> resumed = load_batch(library);
+  CheckpointJournal resume(dir_, true, manifest);
+  EXPECT_EQ(resume.load(resumed), static_cast<int>(kSpecs.size()) - 1);
+  ASSERT_EQ(resume.warnings().size(), 1u);
+  EXPECT_EQ(resume.warnings()[0].file, victim);
+  EXPECT_NE(resume.warnings()[0].message.find("entry version is not 2"),
+            std::string::npos)
+      << resume.warnings()[0].message;
+  EXPECT_FALSE(resumed[0].resumed.has_value());
+
+  EXPECT_EQ(run_journaled(library, resumed, options, resume), uninterrupted);
+}
+
+/// One circuit's object bytes, as a checkpoint entry holds it.
+std::string circuit_object_bytes(const BatchCircuit& circuit,
+                                 const BatchCircuitResult& result) {
+  BatchJsonOptions json;
+  json.include_timing = false;
+  std::ostringstream out;
+  util::JsonWriter w(out);
+  write_circuit_object(w, circuit, result, json);
+  return out.str();
+}
+
+TEST_F(CheckpointTest, CircuitObjectRoundTripsThroughTheReader) {
+  // Every ok circuit of classic + table3, unbudgeted and budgeted: the
+  // object read back onto a freshly loaded copy writes the same bytes.
+  std::vector<std::string> specs = suite_circuit_specs("classic");
+  for (const std::string& spec : suite_circuit_specs("table3")) {
+    specs.push_back(spec);
+  }
+  const celllib::CellLibrary library = celllib::CellLibrary::standard();
+  const celllib::Tech tech;
+  const auto load = [&](const std::string& spec) {
+    return make_scenario_circuit_guarded(
+        spec, 'A', 1, library, [&] { return load_circuit_spec(spec, library); });
+  };
+  for (const std::optional<double> budget :
+       {std::optional<double>(), std::optional<double>(0.05)}) {
+    SCOPED_TRACE(budget ? "budgeted" : "unbudgeted");
+    std::vector<BatchCircuit> batch;
+    for (const std::string& spec : specs) batch.push_back(load(spec));
+    BatchOptions options;
+    options.opt.max_circuit_delay_increase = budget;
+    const BatchReport report = BatchOptimizer(library, tech, options).run(batch);
+    EXPECT_EQ(report.circuits_ok, static_cast<int>(specs.size()));
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const BatchCircuitResult& result = report.circuits[i];
+      if (result.status != CircuitStatus::ok) continue;
+      const std::string written = circuit_object_bytes(batch[i], result);
+      BatchCircuit fresh = load(specs[i]);
+      const BatchCircuitResult read =
+          read_circuit_object(util::json_parse(written), fresh);
+      EXPECT_EQ(circuit_object_bytes(fresh, read), written) << specs[i];
+    }
+  }
 }
 
 TEST_F(CheckpointTest, OnlyOkCircuitsAreJournaled) {

@@ -356,6 +356,27 @@ TEST(RetryClient, ErrorResponsesAreNotReplayed) {
   EXPECT_EQ(metrics.replayed, 0u);
 }
 
+TEST(RetryClient, OversizedResponsesAreNotReplayed) {
+  // The daemon answers a response past its frame limit with an error
+  // frame, so the payload must not be remembered either: the same key
+  // re-executes and is answered with the same error, never a replay.
+  ServerConfig config;
+  config.max_frame_bytes = 1024;
+  TestServer daemon(config);
+  const char request[] = R"({"suite": "classic", "request_id": "big"})";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const ClientResult result =
+        run_request("127.0.0.1", daemon.port(), request);
+    ASSERT_EQ(result.type, kFrameError) << "attempt " << attempt;
+  }
+
+  daemon.drain();
+  const ServiceMetrics metrics = daemon.metrics();
+  EXPECT_EQ(metrics.received, 2u);
+  EXPECT_EQ(metrics.error, 2u);
+  EXPECT_EQ(metrics.replayed, 0u);
+}
+
 TEST(RetryClient, ReplayCapacityZeroDisablesTheCache) {
   ServerConfig config;
   config.service.replay_capacity = 0;
