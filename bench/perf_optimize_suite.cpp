@@ -12,6 +12,7 @@
 // Usage:
 //   perf_optimize_suite [--quick] [--reps=N] [--out=PATH]
 //                       [--reference] [--no-reference] [--min-speedup=X]
+//                       [--min-timing-speedup=X]
 //                       [--baseline=PATH] [--max-regression=X]
 //
 //   --quick            run the 10-circuit CI subset instead of all 39
@@ -25,6 +26,12 @@
 //                      same-run speedup drops below X. Hardware cancels
 //                      out of this ratio, so it catches real regressions
 //                      the absolute baseline comparison cannot attribute.
+//   --min-timing-speedup=X  exit 1 when static timing off the pin-delay
+//                      memo (cold memo, both critical paths of every
+//                      circuit) is less than X times faster than two
+//                      graph-walk delay::circuit_delay calls per circuit,
+//                      measured in the same run — hardware independent
+//                      like --min-speedup.
 //   --baseline=PATH    compare total_ms against a previous JSON; exit 1
 //                      when current > max-regression x baseline
 //   --max-regression=X allowed slowdown factor (default 2.0)
@@ -41,9 +48,11 @@
 
 #include "benchgen/suite.hpp"
 #include "celllib/library.hpp"
+#include "delay/elmore.hpp"
 #include "opt/batch.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
+#include "opt/search.hpp"
 #include "oracle/reference_oracle.hpp"
 
 namespace {
@@ -84,6 +93,77 @@ double time_optimize(const netlist::Netlist& original, int reps,
   return best_ms;
 }
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+struct TimingComparison {
+  double graph_walk_ms = 0.0;  ///< two circuit_delay calls per circuit
+  double memo_ms = 0.0;        ///< both critical paths off a cold memo
+  bool identical = true;       ///< every critical path equal, bit for bit
+};
+
+/// The batch's static timing both ways, best-of-`reps`. Each rep starts
+/// from a fresh library, so the memo side pays for filling its rows the
+/// way one batch process does; scorer builds and the walk stay untimed.
+TimingComparison compare_timing(const std::vector<std::string>& names,
+                                const celllib::Tech& tech, int reps) {
+  TimingComparison best;
+  for (int r = 0; r < reps; ++r) {
+    const celllib::CellLibrary lib = celllib::CellLibrary::standard();
+    std::vector<netlist::Netlist> before;
+    std::vector<netlist::Netlist> after;
+    std::vector<opt::search::IncrementalScorer> scorers;
+    std::vector<std::vector<int>> chosen;
+    before.reserve(names.size());
+    for (const std::string& name : names) {
+      before.push_back(
+          benchgen::build_benchmark(lib, benchgen::suite_entry(name)));
+    }
+    for (const netlist::Netlist& nl : before) {
+      const benchgen::BenchmarkSpec& spec = benchgen::suite_entry(nl.name());
+      scorers.emplace_back(nl, opt::scenario_a(nl, spec.seed), tech,
+                           power::ModelKind::extended);
+      chosen.push_back(opt::search::greedy_seed(scorers.back(), {}).configs);
+      netlist::Netlist committed = nl;
+      for (netlist::GateId g = 0; g < nl.gate_count(); ++g) {
+        const auto c = static_cast<std::size_t>(
+            chosen.back()[static_cast<std::size_t>(g)]);
+        if (c != 0) {
+          committed.set_config(
+              g, scorers.back().table(g).catalog->configs()[c].topology);
+        }
+      }
+      after.push_back(std::move(committed));
+    }
+
+    std::vector<double> walk;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      walk.push_back(delay::circuit_delay(before[i], tech).critical_path);
+      walk.push_back(delay::circuit_delay(after[i], tech).critical_path);
+    }
+    const double walk_ms = ms_since(t0);
+
+    std::vector<double> memo;
+    t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      memo.push_back(delay::critical_path(
+          before[i], opt::search::arrivals(scorers[i])));
+      memo.push_back(delay::critical_path(
+          before[i], opt::search::arrivals(scorers[i], chosen[i])));
+    }
+    const double memo_ms = ms_since(t0);
+
+    best.identical = best.identical && walk == memo;
+    if (r == 0 || walk_ms < best.graph_walk_ms) best.graph_walk_ms = walk_ms;
+    if (r == 0 || memo_ms < best.memo_ms) best.memo_ms = memo_ms;
+  }
+  return best;
+}
+
 /// Extracts `"key": <number>` from our own JSON schema; -1 when absent.
 double json_number(const std::string& text, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
@@ -101,6 +181,7 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   double max_regression = 2.0;
   double min_speedup = -1.0;
+  double min_timing_speedup = -1.0;
   int reference = -1;  // -1 = default (follows --quick)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -112,6 +193,8 @@ int main(int argc, char** argv) {
       reference = 0;
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       min_speedup = std::strtod(arg.c_str() + 14, nullptr);
+    } else if (arg.rfind("--min-timing-speedup=", 0) == 0) {
+      min_timing_speedup = std::strtod(arg.c_str() + 21, nullptr);
     } else if (arg.rfind("--reps=", 0) == 0) {
       reps = std::max(1, std::atoi(arg.c_str() + 7));
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -221,6 +304,20 @@ int main(int argc, char** argv) {
                 reference_total_ms, speedup);
   }
 
+  std::vector<std::string> circuit_names;
+  for (const CircuitResult& row : results) circuit_names.push_back(row.name);
+  const TimingComparison timing = compare_timing(circuit_names, tech, reps);
+  const double timing_speedup =
+      timing.memo_ms > 0.0 ? timing.graph_walk_ms / timing.memo_ms : 0.0;
+  std::printf(
+      "static timing: %10.2f ms graph walk -> %10.2f ms off the pin-delay "
+      "memo (%.1fx, same run)\n",
+      timing.graph_walk_ms, timing.memo_ms, timing_speedup);
+  if (!timing.identical) {
+    std::cerr << "static timing off the memo differs from the graph walk\n";
+    return 1;
+  }
+
   std::ostringstream json;
   json << "{\n  \"schema_version\": 1,\n  \"suite\": \""
        << (quick ? "quick" : "full") << "\",\n  \"reps\": " << reps
@@ -248,6 +345,9 @@ int main(int argc, char** argv) {
        << ", \"cache_hits\": " << batch_cache.hits
        << ", \"cache_misses\": " << batch_cache.misses
        << ", \"cache_hit_rate\": " << batch_cache.hit_rate() << "}";
+  json << ",\n  \"timing\": {\"graph_walk_ms\": " << timing.graph_walk_ms
+       << ", \"memo_ms\": " << timing.memo_ms
+       << ", \"speedup\": " << timing_speedup << "}";
   json << ",\n  \"gates_per_sec\": " << gates_per_sec << "\n}\n";
   std::ofstream(out_path) << json.str();
   std::printf("wrote %s\n", out_path.c_str());
@@ -266,6 +366,13 @@ int main(int argc, char** argv) {
                 << min_speedup << "x)\n";
       return 1;
     }
+  }
+
+  if (min_timing_speedup > 0.0 && timing_speedup < min_timing_speedup) {
+    std::cerr << "PERF REGRESSION: static timing off the memo only "
+              << timing_speedup << "x faster than the graph walk (floor "
+              << min_timing_speedup << "x)\n";
+    return 1;
   }
 
   if (!baseline_path.empty()) {

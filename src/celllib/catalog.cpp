@@ -1,11 +1,15 @@
 #include "celllib/catalog.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "celllib/cell.hpp"
+#include "delay/elmore.hpp"
 #include "gategraph/gate_graph.hpp"
 #include "gategraph/isomorphism.hpp"
 #include "util/error.hpp"
@@ -156,6 +160,52 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
     catalog.configs_.push_back(std::move(entry));
   }
   return catalog;
+}
+
+PinDelayTable::PinDelayTable(const ReorderCatalog& catalog, const Tech& tech,
+                             double load)
+    : catalog_(&catalog),
+      tech_(tech),
+      load_(load),
+      width_(static_cast<std::size_t>(catalog.input_count())),
+      delays_(std::make_unique<double[]>(width_ * catalog.configs().size())),
+      filled_(std::make_unique<std::atomic<bool>[]>(catalog.configs().size())) {
+}
+
+std::span<const double> PinDelayTable::pins(int config) const {
+  const auto row = static_cast<std::size_t>(config);
+  TR_ASSERT(row < catalog_->configs().size());
+  if (!filled_[row].load(std::memory_order_acquire)) fill(row);
+  return {delays_.get() + row * width_, width_};
+}
+
+void PinDelayTable::fill(std::size_t row) const {
+  const std::lock_guard<std::mutex> lock(fill_mutex_);
+  if (filled_[row].load(std::memory_order_relaxed)) return;
+  const GateGraph graph(catalog_->configs()[row].topology);
+  const delay::GateDelays delays = delay::gate_delays(
+      graph, node_capacitances(graph, tech_, load_), tech_);
+  std::copy(delays.pin_delay.begin(), delays.pin_delay.end(),
+            delays_.get() + row * width_);
+  filled_[row].store(true, std::memory_order_release);
+}
+
+const PinDelayTable& ReorderCatalog::pin_delays(const Tech& tech,
+                                                double load) const {
+  static_assert(sizeof(Tech) == 6 * sizeof(double),
+                "every Tech field must be part of the pin-delay memo key");
+  const std::array<std::uint64_t, 7> key = {
+      std::bit_cast<std::uint64_t>(tech.vdd),
+      std::bit_cast<std::uint64_t>(tech.c_diff),
+      std::bit_cast<std::uint64_t>(tech.c_gate),
+      std::bit_cast<std::uint64_t>(tech.c_wire),
+      std::bit_cast<std::uint64_t>(tech.r_n),
+      std::bit_cast<std::uint64_t>(tech.r_p),
+      std::bit_cast<std::uint64_t>(load)};
+  const std::lock_guard<std::mutex> lock(delay_memo_->mutex);
+  std::unique_ptr<const PinDelayTable>& table = delay_memo_->tables[key];
+  if (!table) table = std::make_unique<const PinDelayTable>(*this, tech, load);
+  return *table;
 }
 
 }  // namespace tr::celllib

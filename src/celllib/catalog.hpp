@@ -29,14 +29,29 @@
 // order walks the stored tree, and tie-break parity with the reference
 // engine requires equal enumeration orders — see stored_key() in
 // library.cpp).
+//
+// A catalog also carries the library-wide pin-delay memo: one
+// PinDelayTable per (technology, external load), read by static timing
+// and by the budgeted walk, shared by every circuit and request that
+// holds the catalog and dropped with it.
 
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "boolfn/truth_table.hpp"
+#include "celllib/tech.hpp"
 #include "gategraph/gate_topology.hpp"
 
 namespace tr::celllib {
+
+class ReorderCatalog;
 
 /// Precomputed model inputs for one distinct node of a catalog.
 struct CatalogNode {
@@ -64,6 +79,33 @@ struct CatalogConfig {
   std::vector<int> nodes;
 };
 
+/// Pin-to-output delays of every configuration of one catalog under one
+/// technology and external load: one flat row of input_count() values
+/// per configuration. A row is computed on its first request through the
+/// same GateGraph + node_capacitances + delay::gate_delays arithmetic
+/// static timing runs, so its values are a pure function of (catalog,
+/// configuration, tech, load) whichever caller fills it. Thread-safe;
+/// reading an already filled row takes no lock.
+class PinDelayTable {
+public:
+  PinDelayTable(const ReorderCatalog& catalog, const Tech& tech, double load);
+
+  /// Worst Elmore delay per input pin of configuration `config` [s],
+  /// bit-identical to delay::gate_delays on that configuration's graph.
+  std::span<const double> pins(int config) const;
+
+private:
+  void fill(std::size_t config) const;
+
+  const ReorderCatalog* catalog_;
+  Tech tech_;
+  double load_;
+  std::size_t width_;  ///< values per row: the catalog's input count
+  std::unique_ptr<double[]> delays_;             ///< row-major
+  std::unique_ptr<std::atomic<bool>[]> filled_;  ///< per row
+  mutable std::mutex fill_mutex_;
+};
+
 class ReorderCatalog {
 public:
   /// Characterises the full reordering space reachable from `start`.
@@ -83,14 +125,28 @@ public:
   /// The distinct nodes of all configurations, in first-seen order.
   const std::vector<CatalogNode>& nodes() const noexcept { return nodes_; }
 
+  /// The pin-delay memo of (tech, load), created on first request and
+  /// kept for this catalog's lifetime. Thread-safe.
+  const PinDelayTable& pin_delays(const Tech& tech, double load) const;
+
 private:
   ReorderCatalog() = default;
+
+  /// Pin-delay tables keyed by the bit patterns of every Tech field and
+  /// the load, so two technologies never share a row.
+  struct DelayMemo {
+    std::mutex mutex;
+    std::map<std::array<std::uint64_t, 7>,
+             std::unique_ptr<const PinDelayTable>>
+        tables;
+  };
 
   int input_count_ = 0;
   int internal_node_count_ = 0;
   int characterized_ = 0;
   std::vector<CatalogConfig> configs_;
   std::vector<CatalogNode> nodes_;
+  std::unique_ptr<DelayMemo> delay_memo_ = std::make_unique<DelayMemo>();
 };
 
 }  // namespace tr::celllib

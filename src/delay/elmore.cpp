@@ -104,6 +104,28 @@ GateDelays gate_delays(const GateGraph& graph,
   return result;
 }
 
+double output_arrival(const netlist::GateInst& gate,
+                      const std::vector<double>& net_arrival,
+                      std::span<const double> pin_delay) {
+  double arrival = 0.0;
+  for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+    arrival = std::max(
+        arrival,
+        net_arrival[static_cast<std::size_t>(gate.inputs[pin])] +
+            pin_delay[pin]);
+  }
+  return arrival;
+}
+
+double critical_path(const netlist::Netlist& netlist,
+                     const std::vector<double>& net_arrival) {
+  double path = 0.0;
+  for (netlist::NetId id : netlist.primary_outputs()) {
+    path = std::max(path, net_arrival[static_cast<std::size_t>(id)]);
+  }
+  return path;
+}
+
 CircuitDelay circuit_delay(const netlist::Netlist& netlist,
                            const celllib::Tech& tech) {
   CircuitDelay result;
@@ -114,21 +136,10 @@ CircuitDelay circuit_delay(const netlist::Netlist& netlist,
     const gategraph::GateGraph graph(inst.config);
     const std::vector<double> caps = celllib::node_capacitances(
         graph, tech, netlist.external_load(g, tech));
-    const GateDelays delays = gate_delays(graph, caps, tech);
-    double arrival = 0.0;
-    for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-      arrival = std::max(
-          arrival,
-          result.net_arrival[static_cast<std::size_t>(inst.inputs[pin])] +
-              delays.pin_delay[pin]);
-    }
-    result.net_arrival[static_cast<std::size_t>(inst.output)] = arrival;
+    result.net_arrival[static_cast<std::size_t>(inst.output)] = output_arrival(
+        inst, result.net_arrival, gate_delays(graph, caps, tech).pin_delay);
   }
-
-  for (netlist::NetId id : netlist.primary_outputs()) {
-    result.critical_path = std::max(
-        result.critical_path, result.net_arrival[static_cast<std::size_t>(id)]);
-  }
+  result.critical_path = critical_path(netlist, result.net_arrival);
   return result;
 }
 

@@ -17,6 +17,7 @@
 // timing-optimal placement of the late signal — that tension is what
 // Table 3's delay column (D) measures.
 
+#include <span>
 #include <vector>
 
 #include "celllib/tech.hpp"
@@ -47,5 +48,17 @@ struct CircuitDelay {
 
 CircuitDelay circuit_delay(const netlist::Netlist& netlist,
                            const celllib::Tech& tech);
+
+/// The arrival recurrence of static timing, the one copy every timer
+/// runs: a gate's output arrives at the max over its pins, in pin order
+/// from 0.0, of (input arrival + pin delay). `net_arrival` is indexed by
+/// NetId, `pin_delay` by gate pin.
+double output_arrival(const netlist::GateInst& gate,
+                      const std::vector<double>& net_arrival,
+                      std::span<const double> pin_delay);
+
+/// Max arrival over the primary outputs [s] (0 when there are none).
+double critical_path(const netlist::Netlist& netlist,
+                     const std::vector<double>& net_arrival);
 
 }  // namespace tr::delay

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "delay/elmore.hpp"
 #include "opt/scenario.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -69,19 +68,26 @@ BatchReport BatchOptimizer::run(std::vector<BatchCircuit>& batch) const {
   BatchReport report;
   report.circuits.resize(batch.size());
 
+  // Never more circuit workers than circuits; only timing.jobs shows it.
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int jobs =
+      std::clamp(options_.jobs > 0 ? options_.jobs : hardware, 1,
+                 static_cast<int>(std::max<std::size_t>(1, batch.size())));
+
   OptimizeOptions per_circuit = options_.opt;
   // threads == 0 would route every circuit through the process-wide
   // shared pool and serialise the batch on its guard mutex; the batch
-  // driver always hands each optimize() its own explicit worker count,
-  // resolving 0 to the hardware thread count as --jobs 0 does.
-  per_circuit.threads =
-      options_.threads_per_circuit == 0
-          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
-          : options_.threads_per_circuit;
+  // driver always hands each optimize() its own explicit worker count.
+  // 0 resolves to the hardware threads left per circuit worker, so
+  // jobs x threads never exceeds the hardware thread count.
+  per_circuit.threads = options_.threads_per_circuit == 0
+                            ? std::max(1, hardware / jobs)
+                            : options_.threads_per_circuit;
 
   per_circuit.cancel = options_.cancel;
 
-  util::ThreadPool pool(options_.jobs);
+  util::ThreadPool pool(jobs);
   pool.parallel_for(batch.size(), [&](std::size_t i) {
     BatchCircuit& circuit = batch[i];
     BatchCircuitResult& result = report.circuits[i];
@@ -137,12 +143,8 @@ BatchReport BatchOptimizer::run(std::vector<BatchCircuit>& batch) const {
           static_cast<int>(circuit.netlist.primary_inputs().size());
       result.primary_outputs =
           static_cast<int>(circuit.netlist.primary_outputs().size());
-      result.critical_path_before =
-          delay::circuit_delay(circuit.netlist, tech_).critical_path;
       result.report =
           optimize(circuit.netlist, circuit.pi_stats, tech_, per_circuit);
-      result.critical_path_after =
-          delay::circuit_delay(circuit.netlist, tech_).critical_path;
       result.elapsed_ms = ms_between(t0, std::chrono::steady_clock::now());
       // Durability before visibility: journal the completed circuit
       // first, so an emitted progress frame implies the entry survives

@@ -84,9 +84,7 @@ struct BatchCircuitResult {
   int gates = 0;
   int primary_inputs = 0;
   int primary_outputs = 0;
-  OptimizeReport report;
-  double critical_path_before = 0.0;  ///< Elmore critical path [s]
-  double critical_path_after = 0.0;
+  OptimizeReport report;  ///< incl. the Elmore critical paths
   double elapsed_ms = 0.0;  ///< wall clock of this circuit's optimize
 };
 

@@ -88,9 +88,9 @@ void write_circuit_object(JsonWriter& w, const BatchCircuit& circuit,
   w.value(percent_reduction(result.report.model_power_before,
                             result.report.model_power_after));
   w.key("critical_path_before_s");
-  w.value(result.critical_path_before);
+  w.value(result.report.critical_path_before);
   w.key("critical_path_after_s");
-  w.value(result.critical_path_after);
+  w.value(result.report.critical_path_after);
   w.key("gates_changed");
   w.value(result.report.gates_changed);
   w.key("configs_rejected_by_delay");
@@ -155,8 +155,8 @@ BatchCircuitResult read_circuit_object(const util::JsonValue& object,
   result.report.threads_used = count("threads");
   result.report.model_power_before = number(object, "model_power_before_w");
   result.report.model_power_after = number(object, "model_power_after_w");
-  result.critical_path_before = number(object, "critical_path_before_s");
-  result.critical_path_after = number(object, "critical_path_after_s");
+  result.report.critical_path_before = number(object, "critical_path_before_s");
+  result.report.critical_path_after = number(object, "critical_path_after_s");
   result.report.gates_changed = count("gates_changed");
   result.report.configs_rejected_by_delay = count("configs_rejected_by_delay");
   result.report.configs_rejected_by_instance =

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "celllib/cell.hpp"
+#include "delay/elmore.hpp"
 #include "opt/search.hpp"
 #include "power/gate_power.hpp"
 #include "util/error.hpp"
@@ -144,13 +145,17 @@ OptimizeReport optimize(Netlist& netlist,
                                            options.model, options.cancel,
                                            options.threads);
     const search::GreedySeed seed = search::greedy_seed(scorer, options);
+    OptimizeReport report;
+    report.critical_path_before =
+        delay::critical_path(netlist, search::arrivals(scorer));
+    report.critical_path_after =
+        delay::critical_path(netlist, search::arrivals(scorer, seed.configs));
     // Last cancellation point: past here the netlist is mutated, so the
     // commit runs to completion (all-or-nothing without a snapshot).
     if (options.cancel.valid()) options.cancel.check("optimize");
 
     // UPDATE_CIRCUIT_INFORMATION: commit and assemble deterministically
     // in GateId order; power totals accumulate in topological order.
-    OptimizeReport report;
     report.threads_used = scorer.threads_used();
     report.configs_rejected_by_delay = seed.rejected_delay;
     report.configs_rejected_by_instance = seed.rejected_instance;

@@ -117,6 +117,11 @@ struct OptimizeReport {
   int configs_rejected_by_instance = 0;
   /// Gate-level worker threads the scoring phase actually used.
   int threads_used = 1;
+  /// Elmore critical path [s] under the incoming and the committed
+  /// configurations, read off the catalogs' pin-delay memo
+  /// (search::arrivals); field-exactly delay::circuit_delay's.
+  double critical_path_before = 0.0;
+  double critical_path_after = 0.0;
 };
 
 /// Reusable scoring buffers. One scratch per thread amortises the

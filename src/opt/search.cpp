@@ -5,17 +5,13 @@
 #include <optional>
 #include <utility>
 
-#include "celllib/cell.hpp"
 #include "delay/elmore.hpp"
-#include "gategraph/gate_graph.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tr::opt::search {
 
 using boolfn::SignalStats;
-using celllib::ReorderCatalog;
-using gategraph::GateGraph;
 using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
@@ -25,28 +21,13 @@ namespace {
 /// Admissibility slop of the per-net arrival budgets.
 constexpr double k_budget_epsilon = 1e-18;
 
-/// Arrival of `inst`'s output given its input arrivals and one
-/// configuration's pin delays: the exact circuit_delay recurrence,
-/// max over pins of (input arrival + pin delay), from 0.0, in pin order.
-double output_arrival(const netlist::GateInst& inst,
-                      const std::vector<double>& arrival,
-                      const std::vector<double>& pin_delay) {
-  double out = 0.0;
-  for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-    out = std::max(
-        out, arrival[static_cast<std::size_t>(inst.inputs[pin])] +
-                 pin_delay[pin]);
-  }
-  return out;
-}
-
 }  // namespace
 
 IncrementalScorer::IncrementalScorer(
     const Netlist& netlist, const std::map<NetId, SignalStats>& pi_stats,
     const celllib::Tech& tech, power::ModelKind model,
     const util::CancellationToken& cancel, int threads)
-    : netlist_(&netlist), tech_(tech) {
+    : netlist_(&netlist) {
   netlist.validate();
 
   // OBTAIN_PROBABILITIES + CALCULATE_DENS as one up-front topological
@@ -101,39 +82,20 @@ IncrementalScorer::IncrementalScorer(
                            scratch);
     });
     TR_ASSERT(!table.power.empty());
+    table.delays = &table.catalog->pin_delays(tech, table.load);
   });
 }
 
-DelayTables delay_tables(const IncrementalScorer& scorer,
-                         const util::CancellationToken& cancel) {
+std::vector<double> arrivals(const IncrementalScorer& scorer,
+                             const std::vector<int>& configs) {
   const Netlist& netlist = scorer.netlist();
-  const celllib::Tech& tech = scorer.tech();
-  DelayTables out;
-  out.pin_delay.resize(static_cast<std::size_t>(scorer.gate_count()));
-  out.arrivals.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
-  std::map<std::pair<const ReorderCatalog*, double>,
-           std::shared_ptr<const std::vector<std::vector<double>>>>
-      memo;
-  const bool cancellable = cancel.valid();
+  std::vector<double> out(static_cast<std::size_t>(netlist.net_count()), 0.0);
   for (GateId g : scorer.topo_order()) {
-    if (cancellable) cancel.check("optimize");
-    const GateTable& table = scorer.table(g);
-    auto& delays = memo[std::make_pair(table.catalog.get(), table.load)];
-    if (!delays) {
-      auto built = std::make_shared<std::vector<std::vector<double>>>();
-      built->reserve(table.catalog->configs().size());
-      for (const celllib::CatalogConfig& config : table.catalog->configs()) {
-        const GateGraph graph(config.topology);
-        const std::vector<double> caps =
-            celllib::node_capacitances(graph, tech, table.load);
-        built->push_back(delay::gate_delays(graph, caps, tech).pin_delay);
-      }
-      delays = std::move(built);
-    }
-    out.pin_delay[static_cast<std::size_t>(g)] = delays;
     const netlist::GateInst& inst = netlist.gate(g);
-    out.arrivals[static_cast<std::size_t>(inst.output)] =
-        output_arrival(inst, out.arrivals, delays->front());
+    const int config =
+        configs.empty() ? 0 : configs[static_cast<std::size_t>(g)];
+    out[static_cast<std::size_t>(inst.output)] = delay::output_arrival(
+        inst, out, scorer.table(g).delays->pins(config));
   }
   return out;
 }
@@ -148,19 +110,20 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
   // (1 + f) x the original arrival against the running arrivals of the
   // partially committed netlist.
   const std::optional<double>& budget = options.max_circuit_delay_increase;
-  DelayTables delays;
+  std::vector<double> original;
   std::vector<double> arrival;
   if (budget) {
-    delays = delay_tables(scorer, options.cancel);
-    arrival.assign(static_cast<std::size_t>(netlist.net_count()), 0.0);
+    original = arrivals(scorer);
+    arrival.assign(original.size(), 0.0);
   }
 
+  const bool cancellable = options.cancel.valid();
   for (GateId g : scorer.topo_order()) {
+    if (cancellable) options.cancel.check("optimize");
     const GateTable& table = scorer.table(g);
     const netlist::GateInst& inst = netlist.gate(g);
     const auto out_net = static_cast<std::size_t>(inst.output);
-    const double ceiling =
-        budget ? delays.arrivals[out_net] * (1.0 + *budget) : 0.0;
+    const double ceiling = budget ? original[out_net] * (1.0 + *budget) : 0.0;
 
     std::size_t chosen = 0;
     double chosen_arrival = 0.0;
@@ -173,8 +136,8 @@ GreedySeed greedy_seed(const IncrementalScorer& scorer,
       }
       double out = 0.0;
       if (budget) {
-        out = output_arrival(
-            inst, arrival, (*delays.pin_delay[static_cast<std::size_t>(g)])[i]);
+        out = delay::output_arrival(inst, arrival,
+                                    table.delays->pins(static_cast<int>(i)));
         if (i == 0) {
           // The incoming configuration always fits: its pin delays are
           // the original ones and its input arrivals are within budget.

@@ -7,12 +7,12 @@
 //    catalog scorer, on a thread pool (each gate writes only its own
 //    slot, so the tables do not depend on the thread count).
 //
-//  * delay_tables — what a delay budget adds: the per-pin Elmore delays
-//    of every configuration (through the same delay::gate_delays path
-//    static timing runs, memoised per (catalog, external load)) and the
-//    arrivals of the incoming netlist, field-exact against
-//    delay::circuit_delay (tests/test_search.cpp). Built only for
-//    budgeted walks.
+//  * arrivals — static timing off the catalogs' pin-delay memo
+//    (celllib::PinDelayTable, shared library-wide per (catalog, tech,
+//    load)): the net arrivals under any choice of configurations,
+//    field-exact against delay::circuit_delay (tests/test_search.cpp,
+//    tests/test_static_timer.cpp). optimize() reads its critical paths
+//    here; a budgeted walk reads its ceilings here.
 //
 //  * greedy_seed — the paper's greedy walk, under per-net arrival
 //    ceilings when a budget is set, read off those tables. The test
@@ -39,6 +39,9 @@ struct GateTable {
   std::shared_ptr<const celllib::ReorderCatalog> catalog;
   std::vector<double> power;  ///< model power per configuration [W]
   double load = 0.0;          ///< external load of the output net [F]
+  /// The catalog's pin-delay memo for (tech, load); lives as long as
+  /// `catalog`.
+  const celllib::PinDelayTable* delays = nullptr;
 
   int config_count() const noexcept { return static_cast<int>(power.size()); }
   /// Same-layout-instance flag of a configuration (for
@@ -66,7 +69,6 @@ public:
                     int threads = 1);
 
   const netlist::Netlist& netlist() const noexcept { return *netlist_; }
-  const celllib::Tech& tech() const noexcept { return tech_; }
   int gate_count() const noexcept { return static_cast<int>(tables_.size()); }
   const GateTable& table(netlist::GateId g) const {
     return tables_[static_cast<std::size_t>(g)];
@@ -79,27 +81,17 @@ public:
 
 private:
   const netlist::Netlist* netlist_;
-  celllib::Tech tech_;
   std::vector<GateTable> tables_;
   std::vector<netlist::GateId> topo_order_;
   int threads_used_ = 1;
 };
 
-/// What a delay budget reads off a scorer's netlist.
-struct DelayTables {
-  /// pin_delay[gate][config][pin]: worst Elmore pin-to-output delay [s],
-  /// identical to delay::gate_delays on that configuration's graph.
-  /// Gates sharing a catalog and a load share one table.
-  std::vector<std::shared_ptr<const std::vector<std::vector<double>>>>
-      pin_delay;
-  /// Arrival per net (NetId order) under the incoming configurations,
-  /// field-exactly delay::circuit_delay's.
-  std::vector<double> arrivals;
-};
-/// Builds the delay tables serially in topological order (polls `cancel`
-/// per gate).
-DelayTables delay_tables(const IncrementalScorer& scorer,
-                         const util::CancellationToken& cancel = {});
+/// Arrival per net (NetId order) with gate g in configuration
+/// configs[g] (every gate in its incoming configuration 0 when `configs`
+/// is empty), read off the pin-delay memo: field-exactly what
+/// delay::circuit_delay returns on the netlist so configured.
+std::vector<double> arrivals(const IncrementalScorer& scorer,
+                             const std::vector<int>& configs = {});
 
 /// The paper's greedy one-pass walk (Fig. 3) off the scorer's tables:
 /// topological traversal, enumeration-order tie-breaking and, under a

@@ -77,7 +77,7 @@ const std::vector<std::string>& sites() {
   static const std::vector<std::string> registry = {
       "parse.blif",           "parse.blif_mapped", "parse.verilog",
       "celllib.characterize", "opt.score",         "sim.replicate",
-      "batch.circuit",        "server.request",
+      "batch.circuit",        "server.request",    "util.thread_spawn",
   };
   return registry;
 }

@@ -2,28 +2,38 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "util/error.hpp"
 
 namespace tr::util {
 
-std::string json_double(double value) {
-  if (!std::isfinite(value)) return "null";
+namespace {
+
+/// Flush threshold of JsonWriter's buffer.
+constexpr std::size_t k_flush_bytes = 64 * 1024;
+
+void append_double(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
   char buffer[64];
-  const auto [end, ec] =
-      std::to_chars(buffer, buffer + sizeof buffer, value);
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
   TR_ASSERT(ec == std::errc());
-  std::string text(buffer, end);
-  // JSON has no bare "1e+30" exponent restriction, but shortest-form
-  // integers ("42") are valid JSON numbers already; nothing to fix up.
-  return text;
+  out.append(buffer, end);
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+template <class Int>
+void append_integer(std::string& out, Int value) {
+  char buffer[24];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
+  TR_ASSERT(ec == std::errc());
+  out.append(buffer, end);
+}
+
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char hex[] = "0123456789abcdef";
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -33,33 +43,60 @@ std::string json_escape(std::string_view text) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          out += "\\u00";
+          out += hex[static_cast<unsigned char>(c) >> 4];
+          out += hex[static_cast<unsigned char>(c) & 0xf];
         } else {
           out += c;
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_double(double value) {
+  std::string text;
+  append_double(text, value);
+  return text;
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
 JsonWriter::JsonWriter(std::ostream& out) : out_(&out) {}
 
+JsonWriter::~JsonWriter() { flush(); }
+
+void JsonWriter::flush() {
+  out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+}
+
 void JsonWriter::write_indent() {
-  for (std::size_t i = 0; i < stack_.size(); ++i) *out_ << "  ";
+  buffer_.append(2 * stack_.size(), ' ');
+}
+
+void JsonWriter::write_string(std::string_view text) {
+  buffer_ += '"';
+  append_escaped(buffer_, text);
+  buffer_ += '"';
 }
 
 void JsonWriter::prepare_value() {
+  if (buffer_.size() >= k_flush_bytes) flush();
   if (stack_.empty()) return;  // root value
   if (key_pending_) {
     key_pending_ = false;
     return;  // the key already wrote the separator and indent
   }
   TR_ASSERT(stack_.back() == Frame::array);
-  if (has_entries_.back()) *out_ << ',';
-  *out_ << '\n';
+  if (has_entries_.back()) buffer_ += ',';
+  buffer_ += '\n';
   write_indent();
   has_entries_.back() = true;
 }
@@ -67,84 +104,84 @@ void JsonWriter::prepare_value() {
 void JsonWriter::key(std::string_view name) {
   TR_ASSERT(!stack_.empty() && stack_.back() == Frame::object);
   TR_ASSERT(!key_pending_);
-  if (has_entries_.back()) *out_ << ',';
-  *out_ << '\n';
+  if (buffer_.size() >= k_flush_bytes) flush();
+  if (has_entries_.back()) buffer_ += ',';
+  buffer_ += '\n';
   write_indent();
-  *out_ << '"' << json_escape(name) << "\": ";
+  write_string(name);
+  buffer_ += ": ";
   has_entries_.back() = true;
   key_pending_ = true;
 }
 
 void JsonWriter::begin_object() {
   prepare_value();
-  *out_ << '{';
+  buffer_ += '{';
   stack_.push_back(Frame::object);
   has_entries_.push_back(false);
 }
 
 void JsonWriter::end_object() {
   TR_ASSERT(!stack_.empty() && stack_.back() == Frame::object);
-  TR_ASSERT(!key_pending_);
-  const bool had_entries = has_entries_.back();
-  stack_.pop_back();
-  has_entries_.pop_back();
-  if (had_entries) {
-    *out_ << '\n';
-    write_indent();
-  }
-  *out_ << '}';
-  if (stack_.empty()) *out_ << '\n';
+  end_container('}');
 }
 
 void JsonWriter::begin_array() {
   prepare_value();
-  *out_ << '[';
+  buffer_ += '[';
   stack_.push_back(Frame::array);
   has_entries_.push_back(false);
 }
 
 void JsonWriter::end_array() {
   TR_ASSERT(!stack_.empty() && stack_.back() == Frame::array);
+  end_container(']');
+}
+
+void JsonWriter::end_container(char close) {
   TR_ASSERT(!key_pending_);
   const bool had_entries = has_entries_.back();
   stack_.pop_back();
   has_entries_.pop_back();
   if (had_entries) {
-    *out_ << '\n';
+    buffer_ += '\n';
     write_indent();
   }
-  *out_ << ']';
-  if (stack_.empty()) *out_ << '\n';
+  buffer_ += close;
+  if (stack_.empty()) {
+    buffer_ += '\n';
+    flush();
+  }
 }
 
 void JsonWriter::value(std::string_view text) {
   prepare_value();
-  *out_ << '"' << json_escape(text) << '"';
+  write_string(text);
 }
 
 void JsonWriter::value(double number) {
   prepare_value();
-  *out_ << json_double(number);
+  append_double(buffer_, number);
 }
 
 void JsonWriter::value(std::int64_t number) {
   prepare_value();
-  *out_ << number;
+  append_integer(buffer_, number);
 }
 
 void JsonWriter::value(std::uint64_t number) {
   prepare_value();
-  *out_ << number;
+  append_integer(buffer_, number);
 }
 
 void JsonWriter::value(bool flag) {
   prepare_value();
-  *out_ << (flag ? "true" : "false");
+  buffer_ += flag ? "true" : "false";
 }
 
 void JsonWriter::null_value() {
   prepare_value();
-  *out_ << "null";
+  buffer_ += "null";
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@
 // so a `null` in a numeric field marks a producer bug — visible, but
 // still parseable by every client.
 //
+// The writer renders into its own buffer — escapes, doubles and integers
+// are appended in place, with no temporaries — and hands the buffer to
+// the stream in large writes: when the root container closes, whenever
+// the buffer passes 64 KiB, and in the destructor (so a writer destroyed
+// with its root still open still delivers what it rendered). Bytes
+// reach the stream in rendering order either way.
+//
 // Usage is push-style and validated with assertions, not a DOM:
 //
 //   JsonWriter w(out);
@@ -49,6 +56,11 @@ class JsonWriter {
 public:
   /// Writes to `out`; the stream must outlive the writer.
   explicit JsonWriter(std::ostream& out);
+  /// Flushes whatever is still buffered.
+  ~JsonWriter();
+
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   /// Containers. end_object / end_array close the innermost container;
   /// closing the outermost container emits a trailing newline.
@@ -75,8 +87,12 @@ private:
 
   void prepare_value();  ///< comma/newline/indent bookkeeping before a value
   void write_indent();
+  void write_string(std::string_view text);  ///< quoted and escaped
+  void end_container(char close);
+  void flush();  ///< hands the buffer to the stream
 
   std::ostream* out_;
+  std::string buffer_;
   std::vector<Frame> stack_;
   std::vector<bool> has_entries_;  ///< per frame: wrote at least one entry
   bool key_pending_ = false;

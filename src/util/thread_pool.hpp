@@ -13,6 +13,11 @@
 // from one submitting thread at a time (the optimizer's main thread), and
 // the calling thread participates in the work, so a pool of size 1 (or a
 // single-core machine) degenerates to a plain loop.
+//
+// Construction is all-or-nothing: when the system refuses a thread, the
+// workers already started are stopped and joined, and the constructor
+// throws tr::Error with ErrorCode::resource (the `util.thread_spawn`
+// fault site exercises that path without asking for a huge pool).
 
 #include <condition_variable>
 #include <cstddef>
@@ -20,8 +25,12 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "util/error.hpp"
+#include "util/fault.hpp"
 
 namespace tr::util {
 
@@ -33,21 +42,23 @@ public:
                             : static_cast<int>(std::thread::hardware_concurrency());
     if (count < 1) count = 1;
     thread_count_ = count;
-    workers_.reserve(static_cast<std::size_t>(count - 1));
-    for (int t = 0; t + 1 < count; ++t) {
-      workers_.emplace_back([this] { worker_loop(); });
+    try {
+      workers_.reserve(static_cast<std::size_t>(count - 1));
+      for (int t = 0; t + 1 < count; ++t) {
+        if (fault::enabled()) fault::check("util.thread_spawn");
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+    } catch (const std::exception& e) {
+      const std::size_t started = workers_.size();
+      stop_and_join();
+      throw Error("ThreadPool: could not start worker " +
+                      std::to_string(started + 1) + " of " +
+                      std::to_string(count - 1) + ": " + e.what(),
+                  ErrorCode::resource);
     }
   }
 
-  ~ThreadPool() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-      ++generation_;
-    }
-    job_cv_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
-  }
+  ~ThreadPool() { stop_and_join(); }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -81,6 +92,16 @@ public:
   }
 
 private:
+  void stop_and_join() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+      ++generation_;
+    }
+    job_cv_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
+  }
+
   /// Claims one index of job `generation`; false when the job is drained
   /// or a newer job replaced it (late-waking worker).
   bool claim(std::uint64_t generation, std::size_t& index,

@@ -126,6 +126,7 @@ OptimizeReport optimize_reference(Netlist& netlist,
 
   OptimizeReport report;
   report.threads_used = 1;  // the traversal is inherently sequential
+  report.critical_path_before = delay::circuit_delay(netlist, tech).critical_path;
   report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
 
   // Arrival budgeting (conclusion (b)): per-net arrival ceilings from the
@@ -241,6 +242,7 @@ OptimizeReport optimize_reference(Netlist& netlist,
     net_stats[static_cast<std::size_t>(inst.output)] =
         boolfn::propagate(f, inputs);
   }
+  report.critical_path_after = delay::circuit_delay(netlist, tech).critical_path;
   return report;
 }
 

@@ -154,6 +154,45 @@ TEST(BatchOptimizer, ThreadsPerCircuitZeroMeansHardware) {
   }
 }
 
+TEST(BatchOptimizer, AutoJobsAndThreadsStayWithinTheHardware) {
+  // --jobs 0 --threads-per-circuit 0: the circuit workers are clamped to
+  // the circuit count and each circuit gets the hardware threads left
+  // per worker, so the product never exceeds the hardware thread count.
+  const CellLibrary library = CellLibrary::standard();
+  const Tech tech;
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const std::size_t circuits : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+    std::vector<std::string> names = small_suite();
+    names.resize(circuits);
+    std::vector<BatchCircuit> batch = make_batch(library, names);
+    BatchOptions options;
+    options.jobs = 0;
+    options.threads_per_circuit = 0;
+    const BatchReport report =
+        BatchOptimizer(library, tech, options).run(batch);
+    EXPECT_EQ(report.jobs,
+              std::min(hardware, static_cast<int>(circuits)));
+    for (const BatchCircuitResult& result : report.circuits) {
+      ASSERT_EQ(result.status, CircuitStatus::ok) << result.name;
+      EXPECT_EQ(result.report.threads_used, std::max(1, hardware / report.jobs));
+      EXPECT_LE(result.report.threads_used * report.jobs, hardware);
+    }
+  }
+}
+
+TEST(BatchOptimizer, JobsAreClampedToTheCircuitCount) {
+  const CellLibrary library = CellLibrary::standard();
+  const Tech tech;
+  std::vector<BatchCircuit> batch = make_batch(library, {"b1", "cm82a"});
+  BatchOptions options;
+  options.jobs = 8;
+  const BatchReport report = BatchOptimizer(library, tech, options).run(batch);
+  EXPECT_EQ(report.jobs, 2);
+  std::vector<BatchCircuit> empty;
+  EXPECT_EQ(BatchOptimizer(library, tech, options).run(empty).jobs, 1);
+}
+
 TEST(BatchOptimizer, SharesCatalogCacheAcrossCircuits) {
   const CellLibrary library = CellLibrary::standard();
   const Tech tech;

@@ -79,12 +79,12 @@ TEST(FaultRegistry, ContainsEveryPipelineSite) {
   for (const char* site :
        {"parse.blif", "parse.blif_mapped", "parse.verilog",
         "celllib.characterize", "opt.score", "sim.replicate",
-        "batch.circuit", "server.request"}) {
+        "batch.circuit", "server.request", "util.thread_spawn"}) {
     EXPECT_NE(std::find(registry.begin(), registry.end(), site),
               registry.end())
         << site;
   }
-  EXPECT_EQ(registry.size(), 8u);
+  EXPECT_EQ(registry.size(), 9u);
 }
 
 TEST(FaultRegistry, ArmingUnknownSiteThrows) {

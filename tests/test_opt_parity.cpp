@@ -56,6 +56,8 @@ void expect_engine_parity(const Netlist& original,
   EXPECT_EQ(fast.model_power_before, reference.model_power_before);
   EXPECT_EQ(fast.model_power_after, reference.model_power_after);
   EXPECT_EQ(fast.gates_changed, reference.gates_changed);
+  EXPECT_EQ(fast.critical_path_before, reference.critical_path_before);
+  EXPECT_EQ(fast.critical_path_after, reference.critical_path_after);
   EXPECT_EQ(fast.configs_rejected_by_delay,
             reference.configs_rejected_by_delay);
   EXPECT_EQ(fast.configs_rejected_by_instance,

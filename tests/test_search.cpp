@@ -67,7 +67,7 @@ TEST(IncrementalScorer, ConstructionMatchesCircuitDelayExactly) {
     const Netlist nl = testutil::random_sp_netlist(sp_lib, rng, 14);
     const IncrementalScorer scorer(nl, random_stats(nl, rng), tech,
                                    power::ModelKind::extended);
-    const std::vector<double> arrivals = search::delay_tables(scorer).arrivals;
+    const std::vector<double> arrivals = search::arrivals(scorer);
     const delay::CircuitDelay timing = delay::circuit_delay(nl, tech);
     ASSERT_EQ(arrivals.size(), timing.net_arrival.size());
     for (std::size_t i = 0; i < timing.net_arrival.size(); ++i) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tr::util {
@@ -156,6 +157,39 @@ TEST(ThreadPool, HandlesEmptyAndSingleElementRanges) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPool, FailedThreadStartJoinsStartedWorkersAndThrowsResource) {
+  // The util.thread_spawn site fails the nth thread creation the way the
+  // system would: the workers already started are joined (no
+  // std::terminate from a joinable std::thread) and the constructor
+  // throws a resource error. A small pool suffices.
+  for (const fault::FaultKind kind :
+       {fault::FaultKind::error, fault::FaultKind::bad_alloc,
+        fault::FaultKind::runtime}) {
+    for (const std::uint64_t nth : {1u, 3u}) {
+      fault::ScopedFault armed("util.thread_spawn", nth, kind);
+      try {
+        ThreadPool pool(5);
+        FAIL() << "expected the pool construction to throw";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::resource);
+        EXPECT_NE(std::string(e.what()).find(
+                      "ThreadPool: could not start worker " +
+                      std::to_string(nth) + " of 4"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(armed.fired());
+    }
+  }
+  // Disarmed, the same size starts normally.
+  ThreadPool pool(5);
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, [&](std::size_t i) {
+    sum.fetch_add(static_cast<int>(i));
+  });
+  EXPECT_EQ(sum.load(), 45);
 }
 
 TEST(ThreadPool, DefaultSizeUsesHardware) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -360,6 +362,120 @@ TEST(Json, MisuseTripsAssertions) {
   w.begin_array();
   EXPECT_THROW(w.key("no-keys-in-arrays"), InternalError);
   EXPECT_THROW(w.end_object(), InternalError);
+}
+
+TEST(Json, LargeDocumentIsExactAcrossTheFlushBoundary) {
+  // The writer hands its buffer to the stream every 64 KiB: the stream
+  // must already hold a prefix of the document before the root closes,
+  // and the whole document must equal the hand-built text byte for byte.
+  constexpr int kItems = 12000;
+  std::string expected = "[";
+  for (int i = 0; i < kItems; ++i) {
+    expected += i == 0 ? "\n" : ",\n";
+    expected += "  \"item-" + std::to_string(i) + "\\n\"";
+  }
+  expected += "\n]\n";
+  ASSERT_GT(expected.size(), 2u * 64 * 1024);
+
+  std::ostringstream out;
+  util::JsonWriter w(out);
+  w.begin_array();
+  for (int i = 0; i < kItems; ++i) {
+    w.value("item-" + std::to_string(i) + "\n");
+  }
+  const std::string partial = out.str();
+  EXPECT_GE(partial.size(), 64u * 1024);
+  EXPECT_EQ(expected.compare(0, partial.size(), partial), 0);
+  w.end_array();
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(Json, WriterEscapesKeysAndStringsInPlace) {
+  std::string all_controls;
+  for (int c = 0; c < 0x20; ++c) all_controls += static_cast<char>(c);
+  std::ostringstream out;
+  util::JsonWriter w(out);
+  w.begin_object();
+  w.key("k\"\\\x1f");
+  w.value(all_controls + "\"\\/\x7f");
+  w.end_object();
+  EXPECT_EQ(out.str(),
+            "{\n"
+            "  \"k\\\"\\\\\\u001f\": "
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            "\\\"\\\\/\x7f\"\n"
+            "}\n");
+  EXPECT_EQ(util::json_escape(all_controls).size(), 2u * 3 + 6u * 29);
+}
+
+TEST(Json, WriterRendersIntegerExtremes) {
+  std::ostringstream out;
+  util::JsonWriter w(out);
+  w.begin_array();
+  w.value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::int64_t>::max());
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::uint64_t{0});
+  w.value(-1);
+  w.end_array();
+  EXPECT_EQ(out.str(),
+            "[\n"
+            "  -9223372036854775808,\n"
+            "  9223372036854775807,\n"
+            "  18446744073709551615,\n"
+            "  0,\n"
+            "  -1\n"
+            "]\n");
+}
+
+TEST(Json, WriterDestroyedWithRootOpenFlushesWhatItWrote) {
+  std::ostringstream out;
+  {
+    util::JsonWriter w(out);
+    w.begin_object();
+    w.key("a");
+    w.value(1);
+    w.key("b");
+    w.begin_array();
+    w.value(2.5);
+    EXPECT_EQ(out.str(), "");  // still buffered
+  }
+  EXPECT_EQ(out.str(),
+            "{\n"
+            "  \"a\": 1,\n"
+            "  \"b\": [\n"
+            "    2.5");
+}
+
+TEST(Json, WritersInSequenceOnOneStreamKeepTheirOrder) {
+  // tr_opt and the probe write "\n" between documents after each root
+  // closes; every byte must land in program order.
+  std::ostringstream out;
+  {
+    util::JsonWriter first(out);
+    first.begin_object();
+    first.key("n");
+    first.value(1);
+    first.end_object();
+    out << "\n";
+    util::JsonWriter second(out);
+    second.begin_array();
+    second.value("x");
+    second.end_array();
+    out << "\n";
+  }
+  EXPECT_EQ(out.str(),
+            "{\n"
+            "  \"n\": 1\n"
+            "}\n"
+            "\n"
+            "[\n"
+            "  \"x\"\n"
+            "]\n"
+            "\n");
 }
 
 }  // namespace
