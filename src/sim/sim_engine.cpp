@@ -1,6 +1,7 @@
 #include "sim/sim_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "boolfn/truth_table.hpp"
@@ -16,12 +17,14 @@ namespace tr::sim {
 using gategraph::GateGraph;
 using netlist::GateId;
 using netlist::NetId;
+using NodeMask = ReplicationScratch::NodeMask;
+
+static_assert(sizeof(ReplicationScratch::GateMut) == 24);  // mask in padding
 
 std::size_t ReplicationScratch::high_water_bytes() const noexcept {
   return net_value.capacity() * sizeof(std::uint8_t) +
          net_obs.capacity() * sizeof(NetObs) +
          gate_mut.capacity() * sizeof(GateMut) +
-         internal_state.capacity() * sizeof(std::uint8_t) +
          scheduler.allocated_bytes();
 }
 
@@ -29,8 +32,8 @@ std::size_t ReplicationScratch::high_water_bytes() const noexcept {
 /// order, same floating-point accumulation order as the pre-rewrite
 /// reference loop (tests/oracle/reference_sim.hpp) — pinned bit-identical
 /// by the differential suite — but running entirely on the engine's flat
-/// structure-of-arrays tables, the scratch's byte arenas and the indexed
-/// event scheduler.
+/// structure-of-arrays tables, the scratch's per-gate records and the
+/// indexed event scheduler.
 struct SimEngine::EventLoop {
   EventLoop(const SimEngine& engine, ReplicationScratch& scratch,
           SimResult& out, std::uint64_t seed)
@@ -75,11 +78,9 @@ private:
     const std::size_t nets = static_cast<std::size_t>(e.netlist_.net_count());
     const std::size_t gates =
         static_cast<std::size_t>(e.netlist_.gate_count());
-    const std::size_t nodes = e.flat_node_.size();
     s.net_value.assign(nets, 0);
     s.net_obs.assign(nets, ReplicationScratch::NetObs{});
     s.gate_mut.resize(gates);  // every field is (re)written below
-    s.internal_state.resize(nodes);
 
     result.energy = 0.0;
     result.power = 0.0;
@@ -111,14 +112,10 @@ private:
           minterm |= std::uint64_t{1} << (i - in_begin);
         }
       }
-      s.gate_mut[gi] =
-          ReplicationScratch::GateMut{minterm, 0, 0, 0};
+      s.gate_mut[gi] = ReplicationScratch::GateMut{
+          minterm, 0, e.flat_mask_[hot.mask_begin + minterm].h, 0, 0};
       s.net_value[static_cast<std::size_t>(hot.out_net)] =
           static_cast<std::uint8_t>((hot.out_fn >> minterm) & 1u);
-      for (std::uint32_t j = hot.node_begin; j < hot.node_end; ++j) {
-        s.internal_state[j] =
-            static_cast<std::uint8_t>((e.flat_node_[j].h_fn >> minterm) & 1u);
-      }
     }
 
     s.scheduler.reset(e.scheduler_width_,
@@ -192,25 +189,19 @@ private:
       const std::uint64_t minterm =
           (mut.input_minterm ^= std::uint64_t{1} << (arc.gate_pin & 7u));
 
-      // Internal stack nodes: charge on H, discharge on G, retain else.
-      for (std::uint32_t j = hot.node_begin; j < hot.node_end; ++j) {
-        const NodeHot& node = e.flat_node_[j];
-        const std::uint8_t h =
-            static_cast<std::uint8_t>((node.h_fn >> minterm) & 1u);
-        const std::uint8_t g =
-            static_cast<std::uint8_t>((node.g_fn >> minterm) & 1u);
-        TR_ASSERT((h & g) == 0);  // no rail-to-rail short
-        const std::uint8_t next =
-            static_cast<std::uint8_t>(h | (s.internal_state[j] & (g ^ 1u)));
-        if (next != s.internal_state[j]) {
-          s.internal_state[j] = next;
-          if (now >= warmup) {
-            const double energy = node.energy;
-            result.internal_node_energy += energy;
-            result.energy += energy;
-            result.per_gate_energy[gi] += energy;
-          }
-        }
+      // Internal stack nodes, all in one word: charge on H, discharge on
+      // G, retain else. Toggled nodes add their energy in ascending node
+      // order, the reference loop's summation order.
+      const NodeMasks masks = e.flat_mask_[hot.mask_begin + minterm];
+      const NodeMask next = masks.h | (mut.node_state & ~masks.g);
+      NodeMask toggled = now >= warmup ? next ^ mut.node_state : 0;
+      mut.node_state = next;
+      for (; toggled != 0; toggled &= toggled - 1) {
+        const double energy =
+            e.flat_node_energy_[hot.node_begin + std::countr_zero(toggled)];
+        result.internal_node_energy += energy;
+        result.energy += energy;
+        result.per_gate_energy[gi] += energy;
       }
 
       // Output evaluation with inertial filtering: a pulse shorter than
@@ -342,6 +333,11 @@ void SimEngine::build_gates() {
     require(inst.inputs.size() <= 6, "switch_sim: gate '", inst.name,
             "' (cell ", inst.cell, ") has ", inst.inputs.size(),
             " inputs; the simulator supports at most 6");
+    const int nodes = inst.config.internal_node_count();
+    require(nodes <= ReplicationScratch::max_gate_nodes, "switch_sim: gate '",
+            inst.name, "' (cell ", inst.cell, ") has ", nodes,
+            " internal nodes; the simulator supports at most ",
+            ReplicationScratch::max_gate_nodes);
     int level = 0;
     for (NetId in : inst.inputs) {
       level = std::max(level, net_level[static_cast<std::size_t>(in)]);
@@ -377,14 +373,23 @@ void SimEngine::build_gates() {
     hot.level_order = static_cast<std::uint64_t>(
                           net_level[static_cast<std::size_t>(inst.output)])
                       << EventScheduler::seq_bits;
-    hot.node_begin = static_cast<std::uint32_t>(flat_node_.size());
+    // Node masks: bit k of the gate's entry m is internal node k's H
+    // (G) at minterm m.
+    hot.mask_begin = flat_mask_.size();
+    flat_mask_.resize(hot.mask_begin + (std::size_t{1} << inst.inputs.size()));
+    hot.node_begin = static_cast<std::uint32_t>(flat_node_energy_.size());
     for (int k = 0; k < graph.internal_node_count(); ++k) {
       const int node = GateGraph::first_internal_node + k;
-      flat_node_.push_back(
-          {graph.h_function(node).words()[0], graph.g_function(node).words()[0],
-           tech_.energy_per_transition(caps[static_cast<std::size_t>(node)])});
+      const std::uint64_t h = graph.h_function(node).words()[0];
+      const std::uint64_t g = graph.g_function(node).words()[0];
+      TR_ASSERT((h & g) == 0);  // no rail-to-rail short
+      for (std::size_t m = 0; hot.mask_begin + m < flat_mask_.size(); ++m) {
+        flat_mask_[hot.mask_begin + m].h |= NodeMask((h >> m) & 1u) << k;
+        flat_mask_[hot.mask_begin + m].g |= NodeMask((g >> m) & 1u) << k;
+      }
+      flat_node_energy_.push_back(
+          tech_.energy_per_transition(caps[static_cast<std::size_t>(node)]));
     }
-    hot.node_end = static_cast<std::uint32_t>(flat_node_.size());
     hot.out_net = inst.output;
     hot.out_energy =
         tech_.energy_per_transition(caps[GateGraph::output_node]);

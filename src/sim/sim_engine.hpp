@@ -6,17 +6,19 @@
 // per-gate H/G path functions, node capacitances, Elmore pin delays, the
 // CTMC rates of every primary-input process — and flattens everything
 // the event loop touches into structure-of-arrays tables: single-word
-// truth tables, CSR fanout arcs with per-arc delays, per-node transition
-// energies. After that the engine is immutable; `run(seed)` executes one
-// independent replication whose mutable state lives in a
-// ReplicationScratch (byte-valued net state, one contiguous
-// internal-node arena, the indexed event scheduler), so any number of
-// replications may run concurrently on a thread pool, the result of a
-// replication is a pure function of its seed, and a scratch reused
-// across replications makes steady-state replication allocation-free.
+// truth tables, per-gate node masks by input minterm, CSR fanout arcs
+// with per-arc delays, per-node transition energies. After that the
+// engine is immutable; `run(seed)` executes one independent replication
+// whose mutable state lives in a ReplicationScratch (byte-valued net
+// state, per-gate records holding each gate's internal nodes as one
+// bitmask, the indexed event scheduler), so any number of replications
+// may run concurrently on a thread pool, the result of a replication is
+// a pure function of its seed, and a scratch reused across replications
+// makes steady-state replication allocation-free.
 //
 // The tables use the packed event encoding (DESIGN.md Sec. 10.1): a
-// circuit with a gate wider than 6 inputs or deeper than
+// circuit with a gate wider than 6 inputs, a gate with more internal
+// nodes than ReplicationScratch::max_gate_nodes, or deeper than
 // EventScheduler::max_level levels is refused at construction with an
 // invalid_argument tr::Error naming the gate. The pre-rewrite event loop
 // the engine is pinned bit-identical against lives with the tests
@@ -35,8 +37,8 @@
 
 namespace tr::sim {
 
-/// Reusable per-replication state: flat byte/word arenas for every piece
-/// of mutable simulation state plus the event scheduler. A scratch is
+/// Reusable per-replication state: flat arrays for every piece of
+/// mutable simulation state plus the event scheduler. A scratch is
 /// owned by exactly one thread at a time (monte_carlo hands each worker
 /// its own and reuses it across that worker's replications); reuse keeps
 /// every arena's capacity, so replications after warmup allocate nothing
@@ -44,10 +46,16 @@ namespace tr::sim {
 /// engine. Members are an implementation detail of SimEngine — public
 /// only because the hot-path runner lives in sim_engine.cpp.
 struct ReplicationScratch {
+  /// Internal-node values of one gate: bit k is the gate's k-th internal
+  /// node in ascending GateGraph id order.
+  using NodeMask = std::uint16_t;
+  static constexpr int max_gate_nodes = 8 * sizeof(NodeMask);
+
   /// Mutable per-gate state, one cache-line-friendly record per gate.
   struct GateMut {
     std::uint64_t input_minterm = 0;
     std::uint64_t pending_seq = 0;  ///< seq of the valid pending commit
+    NodeMask node_state = 0;        ///< internal-node values
     std::uint8_t pending_flag = 0;
     std::uint8_t pending_value = 0;
   };
@@ -66,7 +74,6 @@ struct ReplicationScratch {
   std::vector<std::uint8_t> net_value;       ///< per net (byte, not bit)
   std::vector<NetObs> net_obs;               ///< per net
   std::vector<GateMut> gate_mut;             ///< per gate
-  std::vector<std::uint8_t> internal_state;  ///< node arena, CSR by gate
   EventScheduler scheduler;
 
   /// Bytes of owned storage (capacities, not sizes) — the high-water
@@ -81,7 +88,8 @@ public:
   /// tech and library must outlive the engine (the statistics are
   /// copied, so `pi_stats` need not). Throws tr::Error
   /// (invalid_argument) for a circuit outside the packed event encoding:
-  /// a gate with more than 6 inputs, or more than
+  /// a gate with more than 6 inputs or more than
+  /// ReplicationScratch::max_gate_nodes internal nodes, or more than
   /// EventScheduler::max_level levels.
   SimEngine(const netlist::Netlist& netlist,
             const std::map<netlist::NetId, boolfn::SignalStats>& pi_stats,
@@ -136,19 +144,20 @@ private:
   // Hot-path tables (DESIGN.md Sec. 10.2): flat cache-line-oriented
   // images of the netlist's gates, sized so the event loop reads nothing
   // but these arrays. Truth tables are single 64-bit words (<= 6 input
-  // pins).
+  // pins); each gate's node masks are 2^inputs entries indexed by minterm.
   struct GateHot {
     std::uint64_t out_fn = 0;       ///< output function, minterm-indexed
     std::uint64_t level_order = 0;  ///< net level << EventScheduler::seq_bits
-    std::uint32_t node_begin = 0;   ///< internal-node arena range
-    std::uint32_t node_end = 0;
+    std::uint64_t mask_begin = 0;   ///< first of the gate's NodeMasks
+    std::uint32_t node_begin = 0;   ///< first of the gate's node energies
     std::int32_t out_net = -1;
     double out_energy = 0.0;  ///< J per output transition
   };
-  struct NodeHot {
-    std::uint64_t h_fn = 0;  ///< charge (pull-up path) function
-    std::uint64_t g_fn = 0;  ///< discharge (pull-down path) function
-    double energy = 0.0;     ///< J per node transition
+  /// Per (gate, minterm): the internal nodes with a path to vdd (h) and
+  /// to vss (g); a node in neither keeps its value.
+  struct NodeMasks {
+    ReplicationScratch::NodeMask h = 0;
+    ReplicationScratch::NodeMask g = 0;
   };
   struct Arc {
     double delay = 0.0;            ///< Elmore pin delay of (gate, pin) [s]
@@ -156,7 +165,8 @@ private:
   };
 
   std::vector<GateHot> flat_gate_;           ///< per gate
-  std::vector<NodeHot> flat_node_;           ///< per node (CSR via GateHot)
+  std::vector<NodeMasks> flat_mask_;         ///< per (gate, minterm)
+  std::vector<double> flat_node_energy_;     ///< J per node transition
   std::vector<std::uint32_t> flat_in_off_;   ///< [gates+1] input CSR
   std::vector<std::int32_t> flat_in_net_;    ///< per input pin
   std::vector<std::uint32_t> flat_arc_off_;  ///< [nets+1] fanout CSR

@@ -10,6 +10,7 @@
 #include "benchgen/generators.hpp"
 #include "celllib/library.hpp"
 #include "celllib/cell.hpp"
+#include "oracle/reference_sim.hpp"
 #include "power/circuit_power.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/sim_engine.hpp"
@@ -343,6 +344,60 @@ TEST(SimEngine, RefusesGateWiderThanSixInputs) {
       caught_error([&] { monte_carlo(nl, stats, tech, mc); });
   EXPECT_EQ(via_mc.code(), ErrorCode::invalid_argument);
   EXPECT_STREQ(via_mc.what(), direct.what());
+}
+
+TEST(SimEngine, RefusesGateWithMoreInternalNodesThanTheNodeMask) {
+  // A gate's internal-node state is one NodeMask word. A two-input NAND
+  // whose pull-down stack repeats pin a above one b device has one
+  // internal node per a device, each charged at a & !b and discharged at
+  // a & b: the tallest admissible stack fills the word and matches the
+  // reference loop bit for bit; one device more is refused at
+  // construction, naming the gate.
+  constexpr int max_nodes = ReplicationScratch::max_gate_nodes;
+  CellLibrary tall_lib;
+  for (int nodes : {max_nodes, max_nodes + 1}) {
+    std::vector<gategraph::SpNode> stack;
+    for (int d = 0; d <= nodes; ++d) {
+      stack.push_back(gategraph::SpNode::transistor(d < nodes ? 0 : 1));
+    }
+    tall_lib.add(celllib::Cell("stack" + std::to_string(nodes), {"a", "b"},
+                               gategraph::SpNode::series(std::move(stack))));
+  }
+  const auto one_gate = [&](int nodes) {
+    Netlist nl(tall_lib, "tall");
+    const NetId a = nl.add_net("a");
+    const NetId b = nl.add_net("b");
+    const NetId y = nl.add_net("y");
+    nl.mark_primary_input(a);
+    nl.mark_primary_input(b);
+    nl.add_gate("tall_nand", "stack" + std::to_string(nodes), {a, b}, y);
+    nl.mark_primary_output(y);
+    return nl;
+  };
+  const Tech tech;
+  SimOptions opt;
+  opt.measure_time = 2e-4;
+
+  const Netlist widest = one_gate(max_nodes);
+  const std::map<NetId, SignalStats> stats = {
+      {widest.find_net("a"), {0.5, 3e5}}, {widest.find_net("b"), {0.5, 3e5}}};
+  const SimResult fast = SimEngine(widest, stats, tech, opt).run(9);
+  const SimResult reference =
+      oracle::ReferenceSim(widest, stats, tech, opt).run(9);
+  EXPECT_GT(fast.internal_node_energy, 0.0);
+  EXPECT_EQ(fast.internal_node_energy, reference.internal_node_energy);
+  EXPECT_EQ(fast.energy, reference.energy);
+  EXPECT_EQ(fast.event_count, reference.event_count);
+
+  const Netlist too_tall = one_gate(max_nodes + 1);
+  const Error error =
+      caught_error([&] { SimEngine(too_tall, stats, tech, opt); });
+  EXPECT_EQ(error.code(), ErrorCode::invalid_argument);
+  const std::string what = error.what();
+  EXPECT_NE(what.find("'tall_nand'"), std::string::npos) << what;
+  EXPECT_NE(what.find(std::to_string(max_nodes + 1) + " internal nodes"),
+            std::string::npos)
+      << what;
 }
 
 TEST(SimEngine, RefusesCircuitDeeperThanTheLevelRange) {

@@ -2,7 +2,8 @@
 // reference event loop (tests/oracle/reference_sim.hpp, DESIGN.md
 // Sec. 10.5): same SimResult for every seed under the Elmore, zero- and
 // unit-delay models, truncation (uniform and mixed budgets), both
-// scheduler lanes, and seeded random SP-tree netlists; plus the
+// scheduler lanes, seeded random SP-tree netlists and every catalog
+// configuration of every library cell; plus the
 // scratch-reuse contracts — zero steady-state allocation on a scaled
 // circuit and Monte-Carlo thread-scratch safety.
 
@@ -17,6 +18,7 @@
 
 #include "benchgen/generators.hpp"
 #include "benchgen/suite.hpp"
+#include "celllib/catalog.hpp"
 #include "celllib/cell.hpp"
 #include "celllib/library.hpp"
 #include "opt/scenario.hpp"
@@ -45,8 +47,23 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow form forwards to the counted one, as libstdc++'s default
+// does; replacing it keeps a sanitizer runtime's own nothrow new (whose
+// blocks free() must not release) out of the program.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+// Out of line, so GCC never sees operator new's pointer reach free() once
+// both are inlined into one caller (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tr::sim {
 namespace {
@@ -200,6 +217,50 @@ TEST(SimDifferential, RandomSpTreeNetlists) {
     opt.warmup_time = 1e-5;
     opt.delay_model = trial % 2 == 0 ? DelayModel::elmore : DelayModel::zero;
     differential_check(nl, stats, opt, {11 + static_cast<std::uint64_t>(trial)});
+  }
+}
+
+TEST(SimDifferential, EveryLibraryCellInEveryConfiguration) {
+  // One gate per (cell, catalog configuration), all reading the same
+  // toggling inputs: every node mask table the standard library can
+  // produce, the widest cells' included, against the oracle.
+  std::size_t width = 0;
+  for (const std::string& name : lib().cell_names()) {
+    width = std::max(width,
+                     static_cast<std::size_t>(lib().cell(name).input_count()));
+  }
+  Netlist nl(lib(), "every_config");
+  std::vector<NetId> pis;
+  std::map<NetId, SignalStats> stats;
+  for (std::size_t i = 0; i < width; ++i) {
+    pis.push_back(nl.add_net("x" + std::to_string(i)));
+    nl.mark_primary_input(pis.back());
+    stats[pis.back()] = {0.5, 3e5};
+  }
+  int most_nodes = 0;
+  for (const std::string& name : lib().cell_names()) {
+    const celllib::Cell& cell = lib().cell(name);
+    const std::vector<NetId> inputs(pis.begin(),
+                                    pis.begin() + cell.input_count());
+    for (const celllib::CatalogConfig& config :
+         lib().catalog(cell.topology())->configs()) {
+      const std::string gate = "g" + std::to_string(nl.gate_count());
+      const NetId y = nl.add_net(gate + "_y");
+      nl.set_config(nl.add_gate(gate, name, inputs, y), config.topology);
+      nl.mark_primary_output(y);
+      most_nodes = std::max(most_nodes, config.topology.internal_node_count());
+    }
+  }
+  EXPECT_EQ(width, 6u);
+  EXPECT_EQ(most_nodes, 5);  // the six-high stacks of the 6-input cells
+  SimOptions zero;
+  zero.delay_model = DelayModel::zero;
+  for (SimOptions opt : {SimOptions{}, unit_delay_options(1e-9), zero}) {
+    SCOPED_TRACE(testing::Message()
+                 << "delay model " << static_cast<int>(opt.delay_model));
+    opt.measure_time = 2e-4;
+    opt.warmup_time = 1e-5;
+    differential_check(nl, stats, opt, {1, 2});
   }
 }
 
