@@ -7,12 +7,14 @@
 // fails on large regressions. A second block measures the batch driver
 // (DESIGN.md Sec. 9) over the same circuits: serial vs parallel
 // circuit-level fan-out, the measured speedup, and the shared catalog
-// cache hit rate.
+// cache hit rate. Two more blocks time the catalog readers against the
+// graph walks they replaced (tests/oracle/graph_walk.hpp), in the same
+// run: static timing and model power.
 //
 // Usage:
 //   perf_optimize_suite [--quick] [--reps=N] [--out=PATH]
 //                       [--reference] [--no-reference] [--min-speedup=X]
-//                       [--min-timing-speedup=X]
+//                       [--min-timing-speedup=X] [--min-power-speedup=X]
 //                       [--baseline=PATH] [--max-regression=X]
 //
 //   --quick            run the 10-circuit CI subset instead of all 39
@@ -28,10 +30,15 @@
 //                      the absolute baseline comparison cannot attribute.
 //   --min-timing-speedup=X  exit 1 when static timing off the pin-delay
 //                      memo (cold memo, both critical paths of every
-//                      circuit) is less than X times faster than two
-//                      graph-walk delay::circuit_delay calls per circuit,
-//                      measured in the same run — hardware independent
-//                      like --min-speedup.
+//                      circuit) is less than X times faster than the
+//                      oracle's graph-walk timer on the netlist before and
+//                      after, measured in the same run — hardware
+//                      independent like --min-speedup.
+//   --min-power-speedup=X  exit 1 when power::circuit_power on the
+//                      netlist before and after (catalogs warm from the
+//                      scorer builds, as after optimize()) is less than X
+//                      times faster than the oracle's graph-walk model
+//                      power on the same netlists, same run.
 //   --baseline=PATH    compare total_ms against a previous JSON; exit 1
 //                      when current > max-regression x baseline
 //   --max-regression=X allowed slowdown factor (default 2.0)
@@ -53,7 +60,9 @@
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
 #include "opt/search.hpp"
+#include "oracle/graph_walk.hpp"
 #include "oracle/reference_oracle.hpp"
+#include "power/circuit_power.hpp"
 
 namespace {
 
@@ -99,22 +108,41 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-struct TimingComparison {
-  double graph_walk_ms = 0.0;  ///< two circuit_delay calls per circuit
-  double memo_ms = 0.0;        ///< both critical paths off a cold memo
-  bool identical = true;       ///< every critical path equal, bit for bit
+/// One catalog reader against the graph walk it replaced, same run.
+struct Comparison {
+  double graph_walk_ms = 0.0;
+  double fast_ms = 0.0;
+  bool identical = true;  ///< every value equal, bit for bit
+
+  double speedup() const {
+    return fast_ms > 0.0 ? graph_walk_ms / fast_ms : 0.0;
+  }
+  /// Folds in one rep: best-of times, identity over all reps.
+  void add(double walk_ms, double fast, bool same, int rep) {
+    identical = identical && same;
+    if (rep == 0 || walk_ms < graph_walk_ms) graph_walk_ms = walk_ms;
+    if (rep == 0 || fast < fast_ms) fast_ms = fast;
+  }
 };
 
-/// The batch's static timing both ways, best-of-`reps`. Each rep starts
-/// from a fresh library, so the memo side pays for filling its rows the
-/// way one batch process does; scorer builds and the walk stay untimed.
-TimingComparison compare_timing(const std::vector<std::string>& names,
-                                const celllib::Tech& tech, int reps) {
-  TimingComparison best;
+struct ReaderComparisons {
+  Comparison timing;  ///< both critical paths: walk vs cold pin-delay memo
+  Comparison power;   ///< model power before and after: walk vs catalog
+};
+
+/// The batch's static timing and model power both ways, best-of-`reps`.
+/// Each rep starts from a fresh library, so the memo side of timing pays
+/// for filling its rows the way one batch process does; the catalogs
+/// power reads are the ones the scorer builds left warm. Scorer builds
+/// stay untimed.
+ReaderComparisons compare_readers(const std::vector<std::string>& names,
+                                  const celllib::Tech& tech, int reps) {
+  ReaderComparisons best;
   for (int r = 0; r < reps; ++r) {
     const celllib::CellLibrary lib = celllib::CellLibrary::standard();
     std::vector<netlist::Netlist> before;
     std::vector<netlist::Netlist> after;
+    std::vector<power::CircuitActivity> activity;
     std::vector<opt::search::IncrementalScorer> scorers;
     std::vector<std::vector<int>> chosen;
     before.reserve(names.size());
@@ -124,8 +152,9 @@ TimingComparison compare_timing(const std::vector<std::string>& names,
     }
     for (const netlist::Netlist& nl : before) {
       const benchgen::BenchmarkSpec& spec = benchgen::suite_entry(nl.name());
-      scorers.emplace_back(nl, opt::scenario_a(nl, spec.seed), tech,
-                           power::ModelKind::extended);
+      const auto stats = opt::scenario_a(nl, spec.seed);
+      activity.push_back(power::propagate_activity(nl, stats));
+      scorers.emplace_back(nl, stats, tech, power::ModelKind::extended);
       chosen.push_back(opt::search::greedy_seed(scorers.back(), {}).configs);
       netlist::Netlist committed = nl;
       for (netlist::GateId g = 0; g < nl.gate_count(); ++g) {
@@ -142,8 +171,8 @@ TimingComparison compare_timing(const std::vector<std::string>& names,
     std::vector<double> walk;
     auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < before.size(); ++i) {
-      walk.push_back(delay::circuit_delay(before[i], tech).critical_path);
-      walk.push_back(delay::circuit_delay(after[i], tech).critical_path);
+      walk.push_back(oracle::circuit_delay_walk(before[i], tech).critical_path);
+      walk.push_back(oracle::circuit_delay_walk(after[i], tech).critical_path);
     }
     const double walk_ms = ms_since(t0);
 
@@ -155,11 +184,28 @@ TimingComparison compare_timing(const std::vector<std::string>& names,
       memo.push_back(delay::critical_path(
           before[i], opt::search::arrivals(scorers[i], chosen[i])));
     }
-    const double memo_ms = ms_since(t0);
+    best.timing.add(walk_ms, ms_since(t0), walk == memo, r);
 
-    best.identical = best.identical && walk == memo;
-    if (r == 0 || walk_ms < best.graph_walk_ms) best.graph_walk_ms = walk_ms;
-    if (r == 0 || memo_ms < best.memo_ms) best.memo_ms = memo_ms;
+    std::vector<std::vector<double>> walk_power;
+    t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      for (const netlist::Netlist* nl : {&before[i], &after[i]}) {
+        walk_power.push_back(
+            oracle::circuit_power_walk(*nl, activity[i], tech).per_gate);
+      }
+    }
+    const double walk_power_ms = ms_since(t0);
+
+    std::vector<std::vector<double>> catalog_power;
+    t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      for (const netlist::Netlist* nl : {&before[i], &after[i]}) {
+        catalog_power.push_back(
+            power::circuit_power(*nl, activity[i], tech).per_gate);
+      }
+    }
+    best.power.add(walk_power_ms, ms_since(t0), walk_power == catalog_power,
+                   r);
   }
   return best;
 }
@@ -182,6 +228,7 @@ int main(int argc, char** argv) {
   double max_regression = 2.0;
   double min_speedup = -1.0;
   double min_timing_speedup = -1.0;
+  double min_power_speedup = -1.0;
   int reference = -1;  // -1 = default (follows --quick)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -195,6 +242,8 @@ int main(int argc, char** argv) {
       min_speedup = std::strtod(arg.c_str() + 14, nullptr);
     } else if (arg.rfind("--min-timing-speedup=", 0) == 0) {
       min_timing_speedup = std::strtod(arg.c_str() + 21, nullptr);
+    } else if (arg.rfind("--min-power-speedup=", 0) == 0) {
+      min_power_speedup = std::strtod(arg.c_str() + 20, nullptr);
     } else if (arg.rfind("--reps=", 0) == 0) {
       reps = std::max(1, std::atoi(arg.c_str() + 7));
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -306,15 +355,23 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> circuit_names;
   for (const CircuitResult& row : results) circuit_names.push_back(row.name);
-  const TimingComparison timing = compare_timing(circuit_names, tech, reps);
-  const double timing_speedup =
-      timing.memo_ms > 0.0 ? timing.graph_walk_ms / timing.memo_ms : 0.0;
+  const ReaderComparisons readers = compare_readers(circuit_names, tech, reps);
+  const Comparison& timing = readers.timing;
+  const Comparison& power = readers.power;
   std::printf(
       "static timing: %10.2f ms graph walk -> %10.2f ms off the pin-delay "
       "memo (%.1fx, same run)\n",
-      timing.graph_walk_ms, timing.memo_ms, timing_speedup);
+      timing.graph_walk_ms, timing.fast_ms, timing.speedup());
+  std::printf(
+      "model power:   %10.2f ms graph walk -> %10.2f ms off the catalogs "
+      "(%.1fx, same run)\n",
+      power.graph_walk_ms, power.fast_ms, power.speedup());
   if (!timing.identical) {
     std::cerr << "static timing off the memo differs from the graph walk\n";
+    return 1;
+  }
+  if (!power.identical) {
+    std::cerr << "model power off the catalogs differs from the graph walk\n";
     return 1;
   }
 
@@ -346,8 +403,11 @@ int main(int argc, char** argv) {
        << ", \"cache_misses\": " << batch_cache.misses
        << ", \"cache_hit_rate\": " << batch_cache.hit_rate() << "}";
   json << ",\n  \"timing\": {\"graph_walk_ms\": " << timing.graph_walk_ms
-       << ", \"memo_ms\": " << timing.memo_ms
-       << ", \"speedup\": " << timing_speedup << "}";
+       << ", \"memo_ms\": " << timing.fast_ms
+       << ", \"speedup\": " << timing.speedup() << "}";
+  json << ",\n  \"power\": {\"graph_walk_ms\": " << power.graph_walk_ms
+       << ", \"catalog_ms\": " << power.fast_ms
+       << ", \"speedup\": " << power.speedup() << "}";
   json << ",\n  \"gates_per_sec\": " << gates_per_sec << "\n}\n";
   std::ofstream(out_path) << json.str();
   std::printf("wrote %s\n", out_path.c_str());
@@ -368,10 +428,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (min_timing_speedup > 0.0 && timing_speedup < min_timing_speedup) {
+  if (min_timing_speedup > 0.0 && timing.speedup() < min_timing_speedup) {
     std::cerr << "PERF REGRESSION: static timing off the memo only "
-              << timing_speedup << "x faster than the graph walk (floor "
+              << timing.speedup() << "x faster than the graph walk (floor "
               << min_timing_speedup << "x)\n";
+    return 1;
+  }
+  if (min_power_speedup > 0.0 && power.speedup() < min_power_speedup) {
+    std::cerr << "PERF REGRESSION: model power off the catalogs only "
+              << power.speedup() << "x faster than the graph walk (floor "
+              << min_power_speedup << "x)\n";
     return 1;
   }
 

@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace tr::benchgen {
 
@@ -17,8 +18,8 @@ Netlist ripple_carry_adder(const celllib::CellLibrary& library, int bits) {
   std::vector<NetId> a(static_cast<std::size_t>(bits));
   std::vector<NetId> b(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    a[static_cast<std::size_t>(i)] = nl.add_net("a" + std::to_string(i));
-    b[static_cast<std::size_t>(i)] = nl.add_net("b" + std::to_string(i));
+    a[static_cast<std::size_t>(i)] = nl.add_net(numbered("a", i));
+    b[static_cast<std::size_t>(i)] = nl.add_net(numbered("b", i));
     nl.mark_primary_input(a[static_cast<std::size_t>(i)]);
     nl.mark_primary_input(b[static_cast<std::size_t>(i)]);
   }
@@ -38,7 +39,7 @@ Netlist ripple_carry_adder(const celllib::CellLibrary& library, int bits) {
     const NetId v = nl.add_net("v" + sfx);
     const NetId n1 = nl.add_net("n1_" + sfx);
     const NetId o1 = nl.add_net("o1_" + sfx);
-    const NetId cout = nl.add_net("c" + std::to_string(i + 1));
+    const NetId cout = nl.add_net(numbered("c", i + 1));
     const NetId sum = nl.add_net("s" + sfx);
     nl.add_gate("fa" + sfx + "_nor3", "nor3", {ai, bi, carry}, u);
     nl.add_gate("fa" + sfx + "_nand3", "nand3", {ai, bi, carry}, v);
@@ -71,7 +72,7 @@ Netlist parity_tree(const celllib::CellLibrary& library, int inputs) {
   Netlist nl(library, "parity" + std::to_string(inputs));
   std::vector<NetId> level;
   for (int i = 0; i < inputs; ++i) {
-    const NetId net = nl.add_net("x" + std::to_string(i));
+    const NetId net = nl.add_net(numbered("x", i));
     nl.mark_primary_input(net);
     level.push_back(net);
   }
@@ -97,7 +98,7 @@ Netlist mux_tree(const celllib::CellLibrary& library, int select_bits) {
   std::vector<NetId> data;
   const int leaves = 1 << select_bits;
   for (int i = 0; i < leaves; ++i) {
-    const NetId net = nl.add_net("d" + std::to_string(i));
+    const NetId net = nl.add_net(numbered("d", i));
     nl.mark_primary_input(net);
     data.push_back(net);
   }
@@ -193,7 +194,7 @@ Netlist random_circuit(const celllib::CellLibrary& library,
       for (NetId used : inputs) duplicate = duplicate || used == candidate;
       if (!duplicate) inputs.push_back(candidate);
     }
-    const NetId out = nl.add_net("n" + std::to_string(g));
+    const NetId out = nl.add_net(numbered("n", g));
     nl.add_gate(std::string(cell_name) + "_g" + std::to_string(g), cell_name,
                 inputs, out);
     pool.push_back(out);

@@ -28,12 +28,12 @@
 // topology's STORED structural form (not the canonical key: enumeration
 // order walks the stored tree, and tie-break parity with the reference
 // engine requires equal enumeration orders — see stored_key() in
-// library.cpp).
+// library.cpp). CellLibrary::catalog_slot finds any configuration of a
+// cached catalog by that form, for the readers of a committed netlist.
 //
 // A catalog also carries the library-wide pin-delay memo: one
-// PinDelayTable per (technology, external load), read by static timing
-// and by the budgeted walk, shared by every circuit and request that
-// holds the catalog and dropped with it.
+// PinDelayTable per (technology, external load), shared by every reader
+// that holds the catalog and dropped with it.
 
 #include <array>
 #include <atomic>
@@ -81,11 +81,10 @@ struct CatalogConfig {
 
 /// Pin-to-output delays of every configuration of one catalog under one
 /// technology and external load: one flat row of input_count() values
-/// per configuration. A row is computed on its first request through the
-/// same GateGraph + node_capacitances + delay::gate_delays arithmetic
-/// static timing runs, so its values are a pure function of (catalog,
-/// configuration, tech, load) whichever caller fills it. Thread-safe;
-/// reading an already filled row takes no lock.
+/// per configuration. A row is computed on its first request by
+/// delay::gate_delays on the configuration's GateGraph, so its values are
+/// a pure function of (catalog, configuration, tech, load) whichever
+/// caller fills it. Thread-safe; reading a filled row takes no lock.
 class PinDelayTable {
 public:
   PinDelayTable(const ReorderCatalog& catalog, const Tech& tech, double load);

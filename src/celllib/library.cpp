@@ -21,21 +21,12 @@ CellLibrary::CellLibrary(const CellLibrary& rhs)
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {
     catalogs_.emplace(*it, CatalogEntry{rhs.catalogs_.at(*it).catalog, it});
   }
+  slots_ = rhs.slots_;
   catalog_capacity_ = rhs.catalog_capacity_;
 }
 
 CellLibrary& CellLibrary::operator=(const CellLibrary& rhs) {
-  if (this == &rhs) return *this;
-  cells_ = rhs.cells_;
-  insertion_order_ = rhs.insertion_order_;
-  const std::lock_guard<std::mutex> lock(rhs.catalog_mutex_);
-  catalogs_.clear();
-  lru_ = rhs.lru_;
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    catalogs_.emplace(*it, CatalogEntry{rhs.catalogs_.at(*it).catalog, it});
-  }
-  catalog_capacity_ = rhs.catalog_capacity_;
-  cache_stats_ = {};  // counters describe this instance's lookup history
+  if (this != &rhs) *this = CellLibrary(rhs);
   return *this;
 }
 
@@ -46,6 +37,7 @@ CellLibrary::CellLibrary(CellLibrary&& rhs) noexcept
       insertion_order_(std::move(rhs.insertion_order_)),
       catalogs_(std::move(rhs.catalogs_)),
       lru_(std::move(rhs.lru_)),
+      slots_(std::move(rhs.slots_)),
       catalog_capacity_(rhs.catalog_capacity_) {}
 
 CellLibrary& CellLibrary::operator=(CellLibrary&& rhs) noexcept {
@@ -54,6 +46,7 @@ CellLibrary& CellLibrary::operator=(CellLibrary&& rhs) noexcept {
   insertion_order_ = std::move(rhs.insertion_order_);
   catalogs_ = std::move(rhs.catalogs_);
   lru_ = std::move(rhs.lru_);
+  slots_ = std::move(rhs.slots_);
   catalog_capacity_ = rhs.catalog_capacity_;
   cache_stats_ = {};  // counters describe this instance's lookup history
   return *this;
@@ -108,12 +101,17 @@ std::shared_ptr<const ReorderCatalog> CellLibrary::catalog(
     // characterise exactly once (the batch driver's cache-sharing
     // contract, DESIGN.md Sec. 9.2); later lookups wait and then hit.
     ++cache_stats_.misses;
-    lru_.push_front(key);
-    it = catalogs_
-             .emplace(key, CatalogEntry{std::make_shared<const ReorderCatalog>(
-                                            ReorderCatalog::build(start)),
-                                        lru_.begin()})
+    auto built =
+        std::make_shared<const ReorderCatalog>(ReorderCatalog::build(start));
+    lru_.push_front(key);  // after the build: a throwing build leaves none
+    it = catalogs_.emplace(key, CatalogEntry{std::move(built), lru_.begin()})
              .first;
+    // Every configuration becomes a catalog_slot key (first holder wins).
+    const std::vector<CatalogConfig>& configs = it->second.catalog->configs();
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      slots_.try_emplace(stored_key(configs[i].topology),
+                         CatalogSlot{it->second.catalog, static_cast<int>(i)});
+    }
     // The just-inserted entry sits at the recency front, so a capacity
     // of >= 1 never evicts what this lookup is about to return.
     evict_to_capacity_locked();
@@ -124,9 +122,23 @@ std::shared_ptr<const ReorderCatalog> CellLibrary::catalog(
   return it->second.catalog;
 }
 
+CatalogSlot CellLibrary::catalog_slot(
+    const gategraph::GateTopology& config) const {
+  const std::string key = stored_key(config);
+  {
+    const std::lock_guard<std::mutex> lock(catalog_mutex_);
+    if (const auto it = slots_.find(key); it != slots_.end()) return it->second;
+  }
+  return {catalog(config), 0};
+}
+
 void CellLibrary::evict_to_capacity_locked() const {
   if (catalog_capacity_ == 0) return;
   while (catalogs_.size() > catalog_capacity_) {
+    const ReorderCatalog* evicted = catalogs_.at(lru_.back()).catalog.get();
+    std::erase_if(slots_, [&](const auto& slot) {
+      return slot.second.catalog.get() == evicted;
+    });
     catalogs_.erase(lru_.back());
     lru_.pop_back();
     ++cache_stats_.evictions;

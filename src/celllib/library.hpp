@@ -20,6 +20,12 @@ namespace tr::celllib {
 
 class ReorderCatalog;
 
+/// A catalog and a configuration's index in it (CellLibrary::catalog_slot).
+struct CatalogSlot {
+  std::shared_ptr<const ReorderCatalog> catalog;
+  int index = 0;
+};
+
 /// Cumulative catalog-cache counters (see CellLibrary::catalog). A hit
 /// returns an already-built characterisation; a miss pays for one
 /// ReorderCatalog::build; an eviction drops the least-recently-used
@@ -86,6 +92,13 @@ public:
   std::shared_ptr<const ReorderCatalog> catalog(
       const gategraph::GateTopology& start) const;
 
+  /// Where `config` is characterised. Each built catalog registers every
+  /// configuration's stored key (the first to register a key keeps it;
+  /// eviction drops them), so what optimize() commits resolves without a
+  /// build, counter or recency update; any other key falls back to
+  /// catalog(config), index 0. Thread-safe.
+  CatalogSlot catalog_slot(const gategraph::GateTopology& config) const;
+
   /// Snapshot of the cumulative catalog-cache counters. Thread-safe.
   /// Copies/moves reset the copy's counters to zero (they describe this
   /// instance's lookup history, not the transferred catalogs).
@@ -116,8 +129,8 @@ private:
     std::list<std::string>::iterator lru;
   };
 
-  /// Drops LRU entries until the cache fits the capacity bound. Caller
-  /// holds catalog_mutex_.
+  /// Drops LRU entries, and the slots their catalogs registered, until
+  /// the cache fits the capacity bound. Caller holds catalog_mutex_.
   void evict_to_capacity_locked() const;
 
   std::map<std::string, Cell> cells_;
@@ -128,6 +141,7 @@ private:
   mutable std::mutex catalog_mutex_;
   mutable std::map<std::string, CatalogEntry> catalogs_;
   mutable std::list<std::string> lru_;
+  mutable std::map<std::string, CatalogSlot> slots_;  ///< by stored key
   mutable std::size_t catalog_capacity_ = 0;  ///< 0 = unbounded
   mutable CatalogCacheStats cache_stats_;
 };

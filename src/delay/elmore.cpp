@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "celllib/catalog.hpp"
 #include "util/error.hpp"
 
 namespace tr::delay {
@@ -133,11 +134,11 @@ CircuitDelay circuit_delay(const netlist::Netlist& netlist,
 
   for (netlist::GateId g : netlist.topological_order()) {
     const netlist::GateInst& inst = netlist.gate(g);
-    const gategraph::GateGraph graph(inst.config);
-    const std::vector<double> caps = celllib::node_capacitances(
-        graph, tech, netlist.external_load(g, tech));
+    const auto slot = netlist.library().catalog_slot(inst.config);
     result.net_arrival[static_cast<std::size_t>(inst.output)] = output_arrival(
-        inst, result.net_arrival, gate_delays(graph, caps, tech).pin_delay);
+        inst, result.net_arrival,
+        slot.catalog->pin_delays(tech, netlist.external_load(g, tech))
+            .pins(slot.index));
   }
   result.critical_path = critical_path(netlist, result.net_arrival);
   return result;

@@ -46,6 +46,11 @@ struct CircuitDelay {
   double critical_path = 0.0;       ///< max arrival over primary outputs [s]
 };
 
+/// The static timer: output_arrival in topological order over pin delays
+/// read off the pin-delay memo of the catalog holding each gate's
+/// configuration (CellLibrary::catalog_slot; DESIGN.md Sec. 7.1), the
+/// rows optimize() reads too. Bit-identical to gate_delays on each gate's
+/// graph (the oracle in tests/oracle/graph_walk.hpp).
 CircuitDelay circuit_delay(const netlist::Netlist& netlist,
                            const celllib::Tech& tech);
 

@@ -1,6 +1,7 @@
 #include "gategraph/gate_graph.hpp"
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace tr::gategraph {
 
@@ -126,7 +127,7 @@ std::string GateGraph::node_name(int node) const {
     case vss_node: return "vss";
     case vdd_node: return "vdd";
     case output_node: return "y";
-    default: return "n" + std::to_string(node - first_internal_node);
+    default: return numbered("n", node - first_internal_node);
   }
 }
 

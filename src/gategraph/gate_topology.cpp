@@ -112,7 +112,6 @@ std::vector<GateTopology> GateTopology::all_reorderings() const {
   // silently drops the starting point for gates whose pivot graph has no
   // cycle back to it (e.g. nand2 with a single internal node).
   std::vector<GateTopology> out;
-  out.reserve(reordering_count_formula());
   std::set<std::string> visited;
   visited.insert(canonical_key());
   out.push_back(*this);

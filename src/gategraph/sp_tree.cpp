@@ -4,6 +4,7 @@
 #include <map>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace tr::gategraph {
 
@@ -106,7 +107,7 @@ boolfn::TruthTable conduction_function(const SpNode& node, DeviceType type,
 }
 
 std::string encode(const SpNode& node) {
-  if (node.is_leaf()) return "T" + std::to_string(node.input);
+  if (node.is_leaf()) return numbered("T", node.input);
   std::vector<std::string> parts;
   parts.reserve(node.children.size());
   for (const SpNode& c : node.children) parts.push_back(encode(c));
@@ -128,7 +129,7 @@ void encode_anon_rec(const SpNode& node, std::map<int, int>& renumber,
   if (node.is_leaf()) {
     const auto [it, inserted] =
         renumber.emplace(node.input, static_cast<int>(renumber.size()));
-    out += "T" + std::to_string(it->second);
+    out += numbered("T", it->second);
     (void)inserted;
     return;
   }

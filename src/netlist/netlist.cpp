@@ -140,17 +140,18 @@ std::vector<GateId> Netlist::topological_order() const {
   return order;
 }
 
-double Netlist::external_load(GateId id, const celllib::Tech& tech) const {
-  const GateInst& inst = gate(id);
-  const Net& out = nets_[static_cast<std::size_t>(inst.output)];
+double Netlist::fanout_load(NetId id, const celllib::Tech& tech) const {
   double load = tech.c_wire;
-  for (const auto& [fan_gate, pin] : out.fanouts) {
-    const celllib::Cell& cell =
-        library_->cell(gates_[static_cast<std::size_t>(fan_gate)].cell);
-    load += cell.pin_capacitance(tech, pin);
+  for (const auto& [fan_gate, pin] : net(id).fanouts) {
+    load += library_->cell(gate(fan_gate).cell).pin_capacitance(tech, pin);
   }
-  if (out.is_primary_output) load += tech.c_wire;
   return load;
+}
+
+double Netlist::external_load(GateId id, const celllib::Tech& tech) const {
+  const NetId out = gate(id).output;
+  const double load = fanout_load(out, tech);
+  return net(out).is_primary_output ? load + tech.c_wire : load;
 }
 
 std::vector<bool> Netlist::evaluate(const std::vector<bool>& pi_values) const {

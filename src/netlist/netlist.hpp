@@ -83,9 +83,12 @@ public:
   /// combinational cycles.
   std::vector<GateId> topological_order() const;
 
-  /// External load on a gate's output net: wire capacitance plus the gate
-  /// capacitance of every fanout pin (primary outputs add one more wire
-  /// load to model the pad).
+  /// Wire capacitance plus the gate capacitance of every fanout pin of
+  /// net `id`: the load a primary input's driver charges.
+  double fanout_load(NetId id, const celllib::Tech& tech) const;
+
+  /// External load on a gate's output net: its fanout_load, plus one more
+  /// wire load for a primary output (the pad).
   double external_load(GateId id, const celllib::Tech& tech) const;
 
   /// Structural sanity: every non-PI net has a driver, every gate's pin

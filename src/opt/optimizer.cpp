@@ -108,9 +108,9 @@ const std::vector<double>& score_catalog(const ReorderCatalog& catalog,
 
 std::vector<std::pair<GateTopology, double>> score_configurations(
     const GateTopology& config, const std::vector<SignalStats>& inputs,
-    double external_load, const celllib::Tech& tech, power::ModelKind model,
-    ScoreScratch& scratch) {
+    double external_load, const celllib::Tech& tech, power::ModelKind model) {
   const ReorderCatalog catalog = ReorderCatalog::build(config);
+  ScoreScratch scratch;
   const std::vector<double>& powers =
       score_catalog(catalog, inputs, external_load, tech, model, scratch);
   std::vector<std::pair<GateTopology, double>> scored;
@@ -119,14 +119,6 @@ std::vector<std::pair<GateTopology, double>> score_configurations(
     scored.emplace_back(catalog.configs()[i].topology, powers[i]);
   }
   return scored;
-}
-
-std::vector<std::pair<GateTopology, double>> score_configurations(
-    const GateTopology& config, const std::vector<SignalStats>& inputs,
-    double external_load, const celllib::Tech& tech, power::ModelKind model) {
-  ScoreScratch scratch;
-  return score_configurations(config, inputs, external_load, tech, model,
-                              scratch);
 }
 
 OptimizeReport optimize(Netlist& netlist,

@@ -142,8 +142,8 @@ struct ScoreScratch {
 /// (ReorderCatalog::nodes()) is evaluated once, then each configuration
 /// sums its nodes' powers in model node order. A node's power is a pure
 /// function of its tables, capacitance, inputs and weights, so the result
-/// is bit-identical to scoring each configuration with
-/// evaluate_gate_power / evaluate_output_only_power.
+/// is bit-identical to scoring each configuration's graph with
+/// evaluate_gate_power (the output node alone for output_only).
 const std::vector<double>& score_catalog(
     const celllib::ReorderCatalog& catalog,
     const std::vector<boolfn::SignalStats>& inputs, double external_load,
@@ -158,12 +158,6 @@ std::vector<std::pair<gategraph::GateTopology, double>> score_configurations(
     const std::vector<boolfn::SignalStats>& inputs, double external_load,
     const celllib::Tech& tech,
     power::ModelKind model = power::ModelKind::extended);
-
-/// Overload reusing caller-owned scratch buffers across calls.
-std::vector<std::pair<gategraph::GateTopology, double>> score_configurations(
-    const gategraph::GateTopology& config,
-    const std::vector<boolfn::SignalStats>& inputs, double external_load,
-    const celllib::Tech& tech, power::ModelKind model, ScoreScratch& scratch);
 
 /// Optimizes `netlist` in place (paper Fig. 3). `pi_stats` must cover all
 /// primary inputs. Deterministic: ties keep the first configuration in

@@ -1,5 +1,7 @@
 #include "power/circuit_power.hpp"
 
+#include "celllib/catalog.hpp"
+#include "celllib/cell.hpp"
 #include "util/error.hpp"
 
 namespace tr::power {
@@ -48,22 +50,37 @@ CircuitPower circuit_power(const Netlist& netlist,
   CircuitPower result;
   result.per_gate.resize(static_cast<std::size_t>(netlist.gate_count()), 0.0);
 
+  std::vector<SignalStats> inputs;
+  std::vector<double> probs;
+  boolfn::MintermWeights weights;
   for (GateId g = 0; g < netlist.gate_count(); ++g) {
     const netlist::GateInst& inst = netlist.gate(g);
-    const gategraph::GateGraph graph(inst.config);
-    const std::vector<double> caps = celllib::node_capacitances(
-        graph, tech, netlist.external_load(g, tech));
-    std::vector<SignalStats> inputs;
-    inputs.reserve(inst.inputs.size());
+    const auto slot = netlist.library().catalog_slot(inst.config);
+    inputs.clear();
+    probs.clear();
     for (NetId in : inst.inputs) {
       inputs.push_back(activity.net_stats[static_cast<std::size_t>(in)]);
+      probs.push_back(inputs.back().prob);
     }
-    const GatePower gp = kind == ModelKind::extended
-                             ? evaluate_gate_power(graph, caps, inputs, tech)
-                             : evaluate_output_only_power(graph, caps, inputs,
-                                                          tech);
-    result.per_gate[static_cast<std::size_t>(g)] = gp.total_power;
-    result.gate_power += gp.total_power;
+    weights.assign(probs);
+    const double load = netlist.external_load(g, tech);
+    // Model node order, output last; output_only reads the last alone.
+    const std::vector<int>& nodes =
+        slot.catalog->configs()[static_cast<std::size_t>(slot.index)].nodes;
+    double total = 0.0;
+    for (std::size_t k = kind == ModelKind::extended ? 0 : nodes.size() - 1;
+         k < nodes.size(); ++k) {
+      const celllib::CatalogNode& node =
+          slot.catalog->nodes()[static_cast<std::size_t>(nodes[k])];
+      total += evaluate_node_tables(
+                   node.h, node.g, node.dh.data(), node.dg.data(),
+                   celllib::node_capacitance(tech, node.terminal_count,
+                                             node.is_output, load),
+                   inputs, weights, tech)
+                   .power;
+    }
+    result.per_gate[static_cast<std::size_t>(g)] = total;
+    result.gate_power += total;
   }
 
   // Primary-input nets: their load (fanout pin capacitance + wire) is
@@ -71,15 +88,8 @@ CircuitPower circuit_power(const Netlist& netlist,
   // a net whose density is known. Configuration-independent, but included
   // so model and switch-level totals describe the same circuit.
   for (NetId id : netlist.primary_inputs()) {
-    const netlist::Net& net = netlist.net(id);
-    double cap = tech.c_wire;
-    for (const auto& [fan_gate, pin] : net.fanouts) {
-      cap += netlist.library()
-                 .cell(netlist.gate(fan_gate).cell)
-                 .pin_capacitance(tech, pin);
-    }
     result.pi_load_power +=
-        tech.energy_per_transition(cap) *
+        tech.energy_per_transition(netlist.fanout_load(id, tech)) *
         activity.net_stats[static_cast<std::size_t>(id)].density;
   }
   return result;

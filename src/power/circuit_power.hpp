@@ -5,8 +5,10 @@
 // (Parker-McCluskey [7]) and transition densities (Najm [6]) are pushed
 // from the primary inputs through the mapped netlist in topological
 // order, assuming spatial independence. The circuit's model power is the
-// sum of the per-gate extended-model powers plus the (exact) switching
-// power of the primary-input nets' loads.
+// sum of the per-gate extended-model powers, read off the catalog that
+// characterised each gate's configuration (CellLibrary::catalog_slot,
+// DESIGN.md Sec. 7.1; the graph walk is the oracle in tests/oracle/),
+// plus the (exact) switching power of the primary-input nets' loads.
 
 #include <map>
 #include <vector>
@@ -46,7 +48,8 @@ struct CircuitPower {
 };
 
 /// Evaluates the model power of every gate in its *current*
-/// configuration.
+/// configuration, bit-identical to evaluate_gate_power on each gate's
+/// graph; `output_only` counts the output node alone (1/2 C V^2 D).
 CircuitPower circuit_power(const netlist::Netlist& netlist,
                            const CircuitActivity& activity,
                            const celllib::Tech& tech,

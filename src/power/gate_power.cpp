@@ -8,42 +8,6 @@ using boolfn::SignalStats;
 using boolfn::TruthTable;
 using gategraph::GateGraph;
 
-namespace {
-
-std::vector<double> probs_of(const std::vector<SignalStats>& inputs) {
-  std::vector<double> probs;
-  probs.reserve(inputs.size());
-  for (const auto& s : inputs) probs.push_back(s.prob);
-  return probs;
-}
-
-/// Evaluates one node of the gate under the extended model: extracts the
-/// path-function tables from the graph and defers to the shared core.
-NodePower evaluate_node(const GateGraph& graph, int node, double cap,
-                        const std::vector<SignalStats>& inputs,
-                        const boolfn::MintermWeights& weights,
-                        const celllib::Tech& tech) {
-  const TruthTable h = graph.h_function(node);
-  const TruthTable g = graph.g_function(node);
-  // No rail-to-rail short through any node in a complementary gate.
-  TR_ASSERT((h & g).is_zero());
-
-  std::vector<TruthTable> dh;
-  std::vector<TruthTable> dg;
-  dh.reserve(inputs.size());
-  dg.reserve(inputs.size());
-  for (int i = 0; i < graph.input_count(); ++i) {
-    dh.push_back(h.boolean_difference(i));
-    dg.push_back(g.boolean_difference(i));
-  }
-  NodePower result =
-      evaluate_node_tables(h, g, dh.data(), dg.data(), cap, inputs, weights, tech);
-  result.node = node;
-  return result;
-}
-
-}  // namespace
-
 NodePower evaluate_node_tables(const TruthTable& h, const TruthTable& g,
                                const TruthTable* dh, const TruthTable* dg,
                                double cap,
@@ -89,44 +53,33 @@ GatePower evaluate_gate_power(const GateGraph& graph,
           "evaluate_gate_power: input statistics arity mismatch");
   require(static_cast<int>(node_caps.size()) == graph.node_count(),
           "evaluate_gate_power: node capacitance arity mismatch");
-  const boolfn::MintermWeights weights(probs_of(inputs));
+  std::vector<double> probs;
+  for (const SignalStats& s : inputs) probs.push_back(s.prob);
+  const boolfn::MintermWeights weights(probs);
 
+  // Model node order: internal nodes ascending, then the output node.
   GatePower result;
-  for (int k = 0; k < graph.internal_node_count(); ++k) {
-    const int node = GateGraph::first_internal_node + k;
-    result.nodes.push_back(
-        evaluate_node(graph, node, node_caps[static_cast<std::size_t>(node)],
-                      inputs, weights, tech));
+  const int internal = graph.internal_node_count();
+  for (int k = 0; k <= internal; ++k) {
+    const int node = k < internal ? GateGraph::first_internal_node + k
+                                  : GateGraph::output_node;
+    const TruthTable h = graph.h_function(node);
+    const TruthTable g = graph.g_function(node);
+    TR_ASSERT((h & g).is_zero());  // no rail-to-rail short
+    std::vector<TruthTable> dh;
+    std::vector<TruthTable> dg;
+    for (int i = 0; i < graph.input_count(); ++i) {
+      dh.push_back(h.boolean_difference(i));
+      dg.push_back(g.boolean_difference(i));
+    }
+    result.nodes.push_back(evaluate_node_tables(
+        h, g, dh.data(), dg.data(), node_caps[static_cast<std::size_t>(node)],
+        inputs, weights, tech));
+    result.nodes.back().node = node;
   }
-  result.nodes.push_back(evaluate_node(
-      graph, GateGraph::output_node,
-      node_caps[static_cast<std::size_t>(GateGraph::output_node)], inputs,
-      weights, tech));
-
   for (const NodePower& n : result.nodes) result.total_power += n.power;
   const NodePower& out = result.nodes.back();
   result.output = SignalStats{out.prob, out.density};
-  return result;
-}
-
-GatePower evaluate_output_only_power(const GateGraph& graph,
-                                     const std::vector<double>& node_caps,
-                                     const std::vector<SignalStats>& inputs,
-                                     const celllib::Tech& tech) {
-  require(static_cast<int>(inputs.size()) == graph.input_count(),
-          "evaluate_output_only_power: input statistics arity mismatch");
-  require(static_cast<int>(node_caps.size()) == graph.node_count(),
-          "evaluate_output_only_power: node capacitance arity mismatch");
-  const boolfn::MintermWeights weights(probs_of(inputs));
-
-  GatePower result;
-  result.nodes.push_back(evaluate_node(
-      graph, GateGraph::output_node,
-      node_caps[static_cast<std::size_t>(GateGraph::output_node)], inputs,
-      weights, tech));
-  result.total_power = result.nodes.back().power;
-  result.output =
-      SignalStats{result.nodes.back().prob, result.nodes.back().density};
   return result;
 }
 

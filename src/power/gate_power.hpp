@@ -42,9 +42,9 @@ struct GatePower {
 /// The shared arithmetic core of the model: evaluates one node from its
 /// precomputed tables. `dh[i]` / `dg[i]` are the boolean differences of
 /// h / g w.r.t. input i (arrays of inputs.size() tables), and `weights`
-/// must be bound to the inputs' probabilities. Both the graph-walking
-/// reference path (evaluate_gate_power) and the catalog fast path
-/// (opt::score_catalog) funnel through this function, which is what makes
+/// must be bound to the inputs' probabilities. The graph walk
+/// (evaluate_gate_power) and the catalog readers (opt::score_catalog,
+/// circuit_power) all funnel through this function, which is what makes
 /// their power numbers bit-identical. The caller fills NodePower::node.
 NodePower evaluate_node_tables(const boolfn::TruthTable& h,
                                const boolfn::TruthTable& g,
@@ -63,12 +63,5 @@ GatePower evaluate_gate_power(const gategraph::GateGraph& graph,
                               const std::vector<double>& node_caps,
                               const std::vector<boolfn::SignalStats>& inputs,
                               const celllib::Tech& tech);
-
-/// Ablation baseline (bench/ablation_internal_nodes): the same model with
-/// internal nodes ignored — only the output node's switching power, i.e.
-/// the classic 1/2 C V^2 D estimate every pre-1996 flow used.
-GatePower evaluate_output_only_power(
-    const gategraph::GateGraph& graph, const std::vector<double>& node_caps,
-    const std::vector<boolfn::SignalStats>& inputs, const celllib::Tech& tech);
 
 }  // namespace tr::power

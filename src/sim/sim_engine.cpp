@@ -3,18 +3,20 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <map>
+#include <memory>
+#include <span>
+#include <utility>
 
 #include "boolfn/truth_table.hpp"
+#include "celllib/catalog.hpp"
 #include "celllib/cell.hpp"
-#include "delay/elmore.hpp"
-#include "gategraph/gate_graph.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace tr::sim {
 
-using gategraph::GateGraph;
 using netlist::GateId;
 using netlist::NetId;
 using NodeMask = ReplicationScratch::NodeMask;
@@ -304,13 +306,7 @@ void SimEngine::build_pis(
       pi_rate_sum_ += s.density;  // equilibrium toggle rate of this PI
     }
     p.prob = s.prob;
-    double load_cap = tech_.c_wire;
-    for (const auto& [fan_gate, pin] : netlist_.net(id).fanouts) {
-      load_cap += netlist_.library()
-                      .cell(netlist_.gate(fan_gate).cell)
-                      .pin_capacitance(tech_, pin);
-    }
-    p.energy = tech_.energy_per_transition(load_cap);
+    p.energy = tech_.energy_per_transition(netlist_.fanout_load(id, tech_));
     pi_[static_cast<std::size_t>(id)] = p;
   }
 }
@@ -328,8 +324,10 @@ void SimEngine::build_gates() {
           " nets exceed the simulator's 2^28 id range");
   // Net levelization for the delta-cycle event ordering.
   std::vector<int> net_level(nets, 0);
+  std::size_t pins = 0;
   for (GateId g : topo_order_) {
     const netlist::GateInst& inst = netlist_.gate(g);
+    pins += inst.inputs.size();
     require(inst.inputs.size() <= 6, "switch_sim: gate '", inst.name,
             "' (cell ", inst.cell, ") has ", inst.inputs.size(),
             " inputs; the simulator supports at most 6");
@@ -349,69 +347,74 @@ void SimEngine::build_gates() {
     net_level[static_cast<std::size_t>(inst.output)] = level + 1;
   }
 
-  // Per-gate tables: functions and energies into the flat arrays, pin
-  // delays into a per-input-pin array the arcs below pick up.
+  // Per-gate tables off the catalog holding each gate's configuration,
+  // pin delays into a per-input-pin array the arcs below pick up. The
+  // gates of one (catalog, configuration) pair share a mask table and a
+  // run of internal-node energies, which do not depend on the load.
   flat_gate_.resize(gates);
-  flat_in_off_.assign(gates + 1, 0);
-  for (std::size_t gi = 0; gi < gates; ++gi) {
-    flat_in_off_[gi + 1] =
-        flat_in_off_[gi] +
-        static_cast<std::uint32_t>(
-            netlist_.gate(static_cast<GateId>(gi)).inputs.size());
-  }
-  flat_in_net_.resize(flat_in_off_[gates]);
-  std::vector<double> pin_delay(flat_in_off_[gates]);
+  flat_in_off_.reserve(gates + 1);
+  flat_in_off_.assign(1, 0);
+  flat_in_net_.reserve(pins);
+  std::vector<double> pin_delay;  // per input pin, like flat_in_net_
+  pin_delay.reserve(pins);
+  std::map<std::pair<std::shared_ptr<const celllib::ReorderCatalog>, int>,
+           std::pair<std::uint64_t, std::uint32_t>>
+      shared;  // -> (mask_begin, node_begin)
   for (std::size_t gi = 0; gi < gates; ++gi) {
     const netlist::GateInst& inst = netlist_.gate(static_cast<GateId>(gi));
-    const GateGraph graph(inst.config);
-    const std::vector<double> caps = celllib::node_capacitances(
-        graph, tech_, netlist_.external_load(static_cast<GateId>(gi), tech_));
+    const auto slot = netlist_.library().catalog_slot(inst.config);
+    const std::vector<celllib::CatalogNode>& pool = slot.catalog->nodes();
+    const std::vector<int>& nodes =
+        slot.catalog->configs()[static_cast<std::size_t>(slot.index)].nodes;
+    const celllib::CatalogNode& output =
+        pool[static_cast<std::size_t>(nodes.back())];
+    const double load =
+        netlist_.external_load(static_cast<GateId>(gi), tech_);
 
     GateHot& hot = flat_gate_[gi];
-    const boolfn::TruthTable output_fn = inst.config.output_function();
-    hot.out_fn = output_fn.words().empty() ? 0 : output_fn.words()[0];
+    hot.out_fn = output.h.words()[0];  // H of the output: pull-up = y
     hot.level_order = static_cast<std::uint64_t>(
                           net_level[static_cast<std::size_t>(inst.output)])
                       << EventScheduler::seq_bits;
-    // Node masks: bit k of the gate's entry m is internal node k's H
-    // (G) at minterm m.
-    hot.mask_begin = flat_mask_.size();
-    flat_mask_.resize(hot.mask_begin + (std::size_t{1} << inst.inputs.size()));
-    hot.node_begin = static_cast<std::uint32_t>(flat_node_energy_.size());
-    for (int k = 0; k < graph.internal_node_count(); ++k) {
-      const int node = GateGraph::first_internal_node + k;
-      const std::uint64_t h = graph.h_function(node).words()[0];
-      const std::uint64_t g = graph.g_function(node).words()[0];
-      TR_ASSERT((h & g) == 0);  // no rail-to-rail short
-      for (std::size_t m = 0; hot.mask_begin + m < flat_mask_.size(); ++m) {
-        flat_mask_[hot.mask_begin + m].h |= NodeMask((h >> m) & 1u) << k;
-        flat_mask_[hot.mask_begin + m].g |= NodeMask((g >> m) & 1u) << k;
+    const auto [it, added] = shared.try_emplace(
+        {slot.catalog, slot.index}, flat_mask_.size(),
+        static_cast<std::uint32_t>(flat_node_energy_.size()));
+    if (added) {
+      // Bit k of mask entry m is internal node k's H (G) at minterm m.
+      const std::size_t mask_begin = flat_mask_.size();
+      flat_mask_.resize(mask_begin + (std::size_t{1} << inst.inputs.size()));
+      for (std::size_t k = 0; k + 1 < nodes.size(); ++k) {
+        const celllib::CatalogNode& node =
+            pool[static_cast<std::size_t>(nodes[k])];
+        const std::uint64_t h = node.h.words()[0];
+        const std::uint64_t g = node.g.words()[0];
+        for (std::size_t m = 0; mask_begin + m < flat_mask_.size(); ++m) {
+          flat_mask_[mask_begin + m].h |= NodeMask((h >> m) & 1u) << k;
+          flat_mask_[mask_begin + m].g |= NodeMask((g >> m) & 1u) << k;
+        }
+        flat_node_energy_.push_back(tech_.energy_per_transition(
+            celllib::node_capacitance(tech_, node.terminal_count, false,
+                                      load)));
       }
-      flat_node_energy_.push_back(
-          tech_.energy_per_transition(caps[static_cast<std::size_t>(node)]));
     }
+    hot.mask_begin = it->second.first;
+    hot.node_begin = it->second.second;
     hot.out_net = inst.output;
-    hot.out_energy =
-        tech_.energy_per_transition(caps[GateGraph::output_node]);
+    hot.out_energy = tech_.energy_per_transition(celllib::node_capacitance(
+        tech_, output.terminal_count, true, load));
 
-    const std::uint32_t in_begin = flat_in_off_[gi];
-    for (std::size_t pin = 0; pin < inst.inputs.size(); ++pin) {
-      flat_in_net_[in_begin + pin] = inst.inputs[pin];
-    }
-    switch (options_.delay_model) {
-      case DelayModel::elmore: {
-        const std::vector<double> delays =
-            delay::gate_delays(graph, caps, tech_).pin_delay;
-        std::copy(delays.begin(), delays.end(),
-                  pin_delay.begin() + in_begin);
-        break;
-      }
-      case DelayModel::unit:
-        std::fill_n(pin_delay.begin() + in_begin, inst.inputs.size(),
-                    options_.unit_delay);
-        break;
-      case DelayModel::zero:  // pin delays stay 0
-        break;
+    flat_in_net_.insert(flat_in_net_.end(), inst.inputs.begin(),
+                        inst.inputs.end());
+    flat_in_off_.push_back(static_cast<std::uint32_t>(flat_in_net_.size()));
+    if (options_.delay_model == DelayModel::elmore) {
+      const std::span<const double> delays =
+          slot.catalog->pin_delays(tech_, load).pins(slot.index);
+      pin_delay.insert(pin_delay.end(), delays.begin(), delays.end());
+    } else {
+      pin_delay.insert(pin_delay.end(), inst.inputs.size(),
+                       options_.delay_model == DelayModel::unit
+                           ? options_.unit_delay
+                           : 0.0);
     }
   }
 

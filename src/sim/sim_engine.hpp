@@ -3,18 +3,20 @@
 // architecture Sec. 10) — the library's one event loop.
 //
 // Construction does all the per-netlist work once — net levelization,
-// per-gate H/G path functions, node capacitances, Elmore pin delays, the
-// CTMC rates of every primary-input process — and flattens everything
-// the event loop touches into structure-of-arrays tables: single-word
-// truth tables, per-gate node masks by input minterm, CSR fanout arcs
-// with per-arc delays, per-node transition energies. After that the
-// engine is immutable; `run(seed)` executes one independent replication
-// whose mutable state lives in a ReplicationScratch (byte-valued net
-// state, per-gate records holding each gate's internal nodes as one
-// bitmask, the indexed event scheduler), so any number of replications
-// may run concurrently on a thread pool, the result of a replication is
-// a pure function of its seed, and a scratch reused across replications
-// makes steady-state replication allocation-free.
+// the CTMC rates of every primary-input process, and per gate the H/G
+// path functions, node capacitances and Elmore pin delays read off the
+// catalog holding its configuration (CellLibrary::catalog_slot; no gate
+// graph is built) — and flattens everything the event loop touches into
+// structure-of-arrays tables: single-word truth tables, node masks by
+// input minterm (one table per (catalog, configuration) pair), CSR
+// fanout arcs with per-arc delays, per-node transition energies. After
+// that the engine is immutable; `run(seed)` executes one independent
+// replication whose mutable state lives in a ReplicationScratch
+// (byte-valued net state, per-gate records holding each gate's internal
+// nodes as one bitmask, the indexed event scheduler), so any number of
+// replications may run concurrently on a thread pool, the result of a
+// replication is a pure function of its seed, and a scratch reused
+// across replications makes steady-state replication allocation-free.
 //
 // The tables use the packed event encoding (DESIGN.md Sec. 10.1): a
 // circuit with a gate wider than 6 inputs, a gate with more internal
@@ -144,7 +146,7 @@ private:
   // Hot-path tables (DESIGN.md Sec. 10.2): flat cache-line-oriented
   // images of the netlist's gates, sized so the event loop reads nothing
   // but these arrays. Truth tables are single 64-bit words (<= 6 input
-  // pins); each gate's node masks are 2^inputs entries indexed by minterm.
+  // pins); each mask table is 2^inputs entries indexed by minterm.
   struct GateHot {
     std::uint64_t out_fn = 0;       ///< output function, minterm-indexed
     std::uint64_t level_order = 0;  ///< net level << EventScheduler::seq_bits
@@ -153,8 +155,8 @@ private:
     std::int32_t out_net = -1;
     double out_energy = 0.0;  ///< J per output transition
   };
-  /// Per (gate, minterm): the internal nodes with a path to vdd (h) and
-  /// to vss (g); a node in neither keeps its value.
+  /// Per (mask table, minterm): the internal nodes with a path to vdd (h)
+  /// and to vss (g); a node in neither keeps its value.
   struct NodeMasks {
     ReplicationScratch::NodeMask h = 0;
     ReplicationScratch::NodeMask g = 0;
@@ -165,7 +167,7 @@ private:
   };
 
   std::vector<GateHot> flat_gate_;           ///< per gate
-  std::vector<NodeMasks> flat_mask_;         ///< per (gate, minterm)
+  std::vector<NodeMasks> flat_mask_;         ///< per (table, minterm)
   std::vector<double> flat_node_energy_;     ///< J per node transition
   std::vector<std::uint32_t> flat_in_off_;   ///< [gates+1] input CSR
   std::vector<std::int32_t> flat_in_net_;    ///< per input pin

@@ -54,6 +54,12 @@ std::string safe_file_name(std::string_view name) {
   return out.empty() ? "circuit" : out;
 }
 
+std::string numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string join(const std::vector<std::string>& items, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < items.size(); ++i) {

@@ -7,6 +7,7 @@
 #include "celllib/cell.hpp"
 #include "delay/elmore.hpp"
 #include "gategraph/gate_graph.hpp"
+#include "oracle/graph_walk.hpp"
 #include "power/gate_power.hpp"
 #include "util/error.hpp"
 
@@ -101,7 +102,7 @@ std::vector<std::pair<GateTopology, double>> score_configurations_reference(
     const power::GatePower gp =
         model == power::ModelKind::extended
             ? power::evaluate_gate_power(graph, caps, inputs, tech)
-            : power::evaluate_output_only_power(graph, caps, inputs, tech);
+            : evaluate_output_only_power(graph, caps, inputs, tech);
     scored.emplace_back(std::move(candidate), gp.total_power);
   }
   return scored;
@@ -126,7 +127,7 @@ OptimizeReport optimize_reference(Netlist& netlist,
 
   OptimizeReport report;
   report.threads_used = 1;  // the traversal is inherently sequential
-  report.critical_path_before = delay::circuit_delay(netlist, tech).critical_path;
+  report.critical_path_before = circuit_delay_walk(netlist, tech).critical_path;
   report.decisions.resize(static_cast<std::size_t>(netlist.gate_count()));
 
   // Arrival budgeting (conclusion (b)): per-net arrival ceilings from the
@@ -135,7 +136,7 @@ OptimizeReport optimize_reference(Netlist& netlist,
   std::vector<double> arrival_budget;
   std::vector<double> arrival;
   if (budget_delay) {
-    const delay::CircuitDelay timing = delay::circuit_delay(netlist, tech);
+    const delay::CircuitDelay timing = circuit_delay_walk(netlist, tech);
     arrival_budget.resize(timing.net_arrival.size());
     for (std::size_t i = 0; i < timing.net_arrival.size(); ++i) {
       arrival_budget[i] =
@@ -242,7 +243,7 @@ OptimizeReport optimize_reference(Netlist& netlist,
     net_stats[static_cast<std::size_t>(inst.output)] =
         boolfn::propagate(f, inputs);
   }
-  report.critical_path_after = delay::circuit_delay(netlist, tech).critical_path;
+  report.critical_path_after = circuit_delay_walk(netlist, tech).critical_path;
   return report;
 }
 

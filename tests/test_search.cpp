@@ -2,7 +2,8 @@
 // Sec. 14):
 //
 //  * the delay tables' arrivals of the incoming netlist are FIELD-EXACT
-//    against delay::circuit_delay on random SP netlists;
+//    against the graph-walk timer (tests/oracle/graph_walk.hpp) on
+//    random SP netlists;
 //  * greedy-seed parity — the table-driven greedy walk is bit-identical
 //    to the test oracle's reference engine (tests/oracle/), budgets or
 //    not;
@@ -22,6 +23,7 @@
 #include "delay/elmore.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/search.hpp"
+#include "oracle/graph_walk.hpp"
 #include "oracle/reference_oracle.hpp"
 #include "random_sp_tree.hpp"
 #include "util/error.hpp"
@@ -68,7 +70,7 @@ TEST(IncrementalScorer, ConstructionMatchesCircuitDelayExactly) {
     const IncrementalScorer scorer(nl, random_stats(nl, rng), tech,
                                    power::ModelKind::extended);
     const std::vector<double> arrivals = search::arrivals(scorer);
-    const delay::CircuitDelay timing = delay::circuit_delay(nl, tech);
+    const delay::CircuitDelay timing = oracle::circuit_delay_walk(nl, tech);
     ASSERT_EQ(arrivals.size(), timing.net_arrival.size());
     for (std::size_t i = 0; i < timing.net_arrival.size(); ++i) {
       EXPECT_EQ(arrivals[i], timing.net_arrival[i]);

@@ -2,10 +2,10 @@
 // (celllib::PinDelayTable, search::arrivals, DESIGN.md Sec. 7.1):
 //
 //  * optimize()'s critical_path_before / critical_path_after equal the
-//    graph-walk delay::circuit_delay on the netlist before and after the
-//    run, compared with == on the doubles — table3, scaled and random SP
-//    netlists, both objectives, both models, the instance restriction,
-//    and budgets none / 0 / 0.05;
+//    graph-walk timer (tests/oracle/graph_walk.hpp) on the netlist before
+//    and after the run, compared with == on the doubles — table3, scaled
+//    and random SP netlists, both objectives, both models, the instance
+//    restriction, and budgets none / 0 / 0.05;
 //  * two technologies against one library never read each other's
 //    delays;
 //  * a --jobs 4 batch run twice on one warm library renders the same
@@ -28,6 +28,7 @@
 #include "opt/batch_report.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/scenario.hpp"
+#include "oracle/graph_walk.hpp"
 #include "random_sp_tree.hpp"
 #include "util/rng.hpp"
 
@@ -51,10 +52,10 @@ void expect_timer_matches_graph_walk(const Netlist& original,
   Netlist nl = original;
   const OptimizeReport report = optimize(nl, stats, tech, options);
   EXPECT_EQ(report.critical_path_before,
-            delay::circuit_delay(original, tech).critical_path)
+            oracle::circuit_delay_walk(original, tech).critical_path)
       << original.name();
   EXPECT_EQ(report.critical_path_after,
-            delay::circuit_delay(nl, tech).critical_path)
+            oracle::circuit_delay_walk(nl, tech).critical_path)
       << original.name();
 }
 
@@ -141,8 +142,8 @@ TEST(StaticTimer, TwoTechnologiesNeverShareDelays) {
     }
     expect_timer_matches_graph_walk(nl, stats, *tech, {});
   }
-  EXPECT_NE(delay::circuit_delay(nl, slow).critical_path,
-            delay::circuit_delay(nl, fast).critical_path);
+  EXPECT_NE(oracle::circuit_delay_walk(nl, slow).critical_path,
+            oracle::circuit_delay_walk(nl, fast).critical_path);
 
   // The memo hands out one table per (tech, load), shared by every
   // caller, and distinct tables for distinct technologies.
@@ -186,11 +187,13 @@ TEST(StaticTimer, ConcurrentBatchOnWarmLibraryIsByteIdentical) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const BatchCircuitResult& result = report.circuits[i];
         ASSERT_EQ(result.status, CircuitStatus::ok) << result.name;
-        EXPECT_EQ(result.report.critical_path_before,
-                  delay::circuit_delay(originals[i].netlist, tech).critical_path)
+        EXPECT_EQ(
+            result.report.critical_path_before,
+            oracle::circuit_delay_walk(originals[i].netlist, tech).critical_path)
             << result.name;
         EXPECT_EQ(result.report.critical_path_after,
-                  delay::circuit_delay(batch[i].netlist, tech).critical_path)
+                  oracle::circuit_delay_walk(batch[i].netlist, tech)
+                      .critical_path)
             << result.name;
       }
       std::ostringstream out;
