@@ -36,7 +36,7 @@ int main() {
 
   TextTable table({"net", "equilibrium P", "density [t/cycle]"});
   for (int i = 0; i <= 16; i += 2) {
-    const std::string name = i == 0 ? "cin" : "c" + std::to_string(i);
+    const std::string name = i == 0 ? "cin" : numbered("c", i);
     const netlist::NetId net = adder.find_net(name);
     if (net < 0) continue;
     const auto& s = activity.net_stats[static_cast<std::size_t>(net)];
@@ -59,7 +59,7 @@ int main() {
     const auto stats = opt::scenario_b(nl, clock_hz);
     const bench::PipelineRow row =
         bench::run_pipeline(nl, stats, tech, 9000 + bits, 300.0);
-    opt_table.add_row({"rca" + std::to_string(bits),
+    opt_table.add_row({numbered("rca", bits),
                        std::to_string(row.gates),
                        format_fixed(row.model_reduction, 1),
                        format_fixed(row.sim_reduction, 1),

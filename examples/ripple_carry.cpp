@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                "climb):\n\n";
   TextTable profile({"carry", "P", "D [t/cycle]"});
   for (int i = 0; i <= bits; ++i) {
-    const std::string name = i == 0 ? "cin" : "c" + std::to_string(i);
+    const std::string name = i == 0 ? "cin" : numbered("c", i);
     const netlist::NetId net = adder.find_net(name);
     if (net < 0) continue;
     const auto& s = activity.net_stats[static_cast<std::size_t>(net)];

@@ -107,6 +107,8 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
 
   std::vector<GateTopology> orderings = start.all_reorderings();
   catalog.configs_.reserve(orderings.size());
+  catalog.var_perm_.reserve(orderings.size() *
+                            static_cast<std::size_t>(catalog.input_count_));
 
   // Instance representatives seen so far: (config index, instance key).
   std::vector<std::pair<int, std::string>> reps;
@@ -131,11 +133,18 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
       const auto iso = find_isomorphism(rep.topology, entry.topology);
       if (!iso) continue;  // fall through to direct characterisation
       nodes = derive(rep, catalog.nodes_, *iso, catalog.internal_node_count_);
+      entry.representative = rep_index;
+      catalog.var_perm_.insert(catalog.var_perm_.end(), iso->var_perm.begin(),
+                               iso->var_perm.end());
       break;
     }
     if (nodes.empty()) {
       nodes = characterize(entry.topology, catalog.internal_node_count_);
-      reps.emplace_back(static_cast<int>(catalog.configs_.size()), key);
+      entry.representative = static_cast<int>(catalog.configs_.size());
+      reps.emplace_back(entry.representative, key);
+      for (int i = 0; i < catalog.input_count_; ++i) {
+        catalog.var_perm_.push_back(i);
+      }
       ++catalog.characterized_;
     }
 
@@ -164,30 +173,28 @@ ReorderCatalog ReorderCatalog::build(const GateTopology& start) {
 
 PinDelayTable::PinDelayTable(const ReorderCatalog& catalog, const Tech& tech,
                              double load)
-    : catalog_(&catalog),
-      tech_(tech),
-      load_(load),
-      width_(static_cast<std::size_t>(catalog.input_count())),
-      delays_(std::make_unique<double[]>(width_ * catalog.configs().size())),
-      filled_(std::make_unique<std::atomic<bool>[]>(catalog.configs().size())) {
-}
-
-std::span<const double> PinDelayTable::pins(int config) const {
-  const auto row = static_cast<std::size_t>(config);
-  TR_ASSERT(row < catalog_->configs().size());
-  if (!filled_[row].load(std::memory_order_acquire)) fill(row);
-  return {delays_.get() + row * width_, width_};
-}
-
-void PinDelayTable::fill(std::size_t row) const {
-  const std::lock_guard<std::mutex> lock(fill_mutex_);
-  if (filled_[row].load(std::memory_order_relaxed)) return;
-  const GateGraph graph(catalog_->configs()[row].topology);
-  const delay::GateDelays delays = delay::gate_delays(
-      graph, node_capacitances(graph, tech_, load_), tech_);
-  std::copy(delays.pin_delay.begin(), delays.pin_delay.end(),
-            delays_.get() + row * width_);
-  filled_[row].store(true, std::memory_order_release);
+    : width_(static_cast<std::size_t>(catalog.input_count())),
+      delays_(width_ * catalog.configs().size()) {
+  for (std::size_t c = 0; c < catalog.configs().size(); ++c) {
+    const CatalogConfig& entry = catalog.configs()[c];
+    double* row = delays_.data() + c * width_;
+    if (static_cast<std::size_t>(entry.representative) == c) {
+      const GateGraph graph(entry.topology);
+      const delay::GateDelays delays = delay::gate_delays(
+          graph, node_capacitances(graph, tech, load), tech);
+      std::copy(delays.pin_delay.begin(), delays.pin_delay.end(), row);
+      continue;
+    }
+    // The representative precedes its derived configurations, so its row
+    // is already filled.
+    const double* rep_row =
+        delays_.data() +
+        static_cast<std::size_t>(entry.representative) * width_;
+    const std::span<const int> perm = catalog.var_perm(static_cast<int>(c));
+    for (std::size_t p = 0; p < width_; ++p) {
+      row[static_cast<std::size_t>(perm[p])] = rep_row[p];
+    }
+  }
 }
 
 const PinDelayTable& ReorderCatalog::pin_delays(const Tech& tech,

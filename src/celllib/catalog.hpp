@@ -33,10 +33,11 @@
 //
 // A catalog also carries the library-wide pin-delay memo: one
 // PinDelayTable per (technology, external load), shared by every reader
-// that holds the catalog and dropped with it.
+// that holds the catalog and dropped with it. The same symmetry fills a
+// table: only instance representatives get a GateGraph delay walk, every
+// other row is its representative's row with the pins permuted.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -48,6 +49,7 @@
 #include "boolfn/truth_table.hpp"
 #include "celllib/tech.hpp"
 #include "gategraph/gate_topology.hpp"
+#include "util/error.hpp"
 
 namespace tr::celllib {
 
@@ -73,6 +75,9 @@ struct CatalogConfig {
   /// layout instance as the catalog's starting configuration (equal
   /// instance keys) — precomputed for OptimizeOptions::restrict_to_instance.
   bool same_instance_as_first = true;
+  /// Index of the instance representative this configuration was derived
+  /// from (its own index when characterised); never above its own index.
+  int representative = 0;
   /// Pool indices (ReorderCatalog::nodes()) of the internal nodes in
   /// ascending GateGraph id order, then the output node last — the exact
   /// node order evaluate_gate_power sums in.
@@ -81,28 +86,26 @@ struct CatalogConfig {
 
 /// Pin-to-output delays of every configuration of one catalog under one
 /// technology and external load: one flat row of input_count() values
-/// per configuration. A row is computed on its first request by
-/// delay::gate_delays on the configuration's GateGraph, so its values are
-/// a pure function of (catalog, configuration, tech, load) whichever
-/// caller fills it. Thread-safe; reading a filled row takes no lock.
+/// per configuration, all filled by the constructor and immutable after.
+/// A representative's row comes from delay::gate_delays on its GateGraph;
+/// a derived configuration's row is its representative's row permuted by
+/// ReorderCatalog::var_perm, which is bit-identical to the graph walk
+/// (corresponding nodes have equal capacitances and path positions).
 class PinDelayTable {
 public:
   PinDelayTable(const ReorderCatalog& catalog, const Tech& tech, double load);
 
   /// Worst Elmore delay per input pin of configuration `config` [s],
   /// bit-identical to delay::gate_delays on that configuration's graph.
-  std::span<const double> pins(int config) const;
+  std::span<const double> pins(int config) const {
+    const auto row = static_cast<std::size_t>(config);
+    TR_ASSERT((row + 1) * width_ <= delays_.size());
+    return std::span<const double>(delays_).subspan(row * width_, width_);
+  }
 
 private:
-  void fill(std::size_t config) const;
-
-  const ReorderCatalog* catalog_;
-  Tech tech_;
-  double load_;
-  std::size_t width_;  ///< values per row: the catalog's input count
-  std::unique_ptr<double[]> delays_;             ///< row-major
-  std::unique_ptr<std::atomic<bool>[]> filled_;  ///< per row
-  mutable std::mutex fill_mutex_;
+  std::size_t width_;           ///< values per row: the catalog's input count
+  std::vector<double> delays_;  ///< row-major, one row per configuration
 };
 
 class ReorderCatalog {
@@ -121,6 +124,16 @@ public:
   /// configs().size() - characterized_instances() entries were derived by
   /// variable permutation.
   int characterized_instances() const noexcept { return characterized_; }
+  /// ConfigIsomorphism::var_perm from configuration `config`'s
+  /// representative onto it: pin p of the representative is pin
+  /// var_perm(config)[p] of the configuration (identity for a
+  /// representative).
+  std::span<const int> var_perm(int config) const {
+    return std::span<const int>(var_perm_).subspan(
+        static_cast<std::size_t>(config) *
+            static_cast<std::size_t>(input_count_),
+        static_cast<std::size_t>(input_count_));
+  }
   /// The distinct nodes of all configurations, in first-seen order.
   const std::vector<CatalogNode>& nodes() const noexcept { return nodes_; }
 
@@ -144,6 +157,7 @@ private:
   int internal_node_count_ = 0;
   int characterized_ = 0;
   std::vector<CatalogConfig> configs_;
+  std::vector<int> var_perm_;  ///< input_count() ints per configuration
   std::vector<CatalogNode> nodes_;
   std::unique_ptr<DelayMemo> delay_memo_ = std::make_unique<DelayMemo>();
 };

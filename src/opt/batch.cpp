@@ -76,11 +76,10 @@ BatchReport BatchOptimizer::run(std::vector<BatchCircuit>& batch) const {
                  static_cast<int>(std::max<std::size_t>(1, batch.size())));
 
   OptimizeOptions per_circuit = options_.opt;
-  // threads == 0 would route every circuit through the process-wide
-  // shared pool and serialise the batch on its guard mutex; the batch
-  // driver always hands each optimize() its own explicit worker count.
-  // 0 resolves to the hardware threads left per circuit worker, so
-  // jobs x threads never exceeds the hardware thread count.
+  // threads == 0 would give every circuit a pool of all hardware
+  // threads; the batch driver hands each optimize() its share instead:
+  // the hardware threads left per circuit worker, so jobs x threads
+  // never exceeds the hardware thread count.
   per_circuit.threads = options_.threads_per_circuit == 0
                             ? std::max(1, hardware / jobs)
                             : options_.threads_per_circuit;

@@ -85,7 +85,7 @@ struct OptimizeOptions {
   bool restrict_to_instance = false;
 
   /// Worker threads for the gate-parallel scoring phase; 0 = one per
-  /// hardware thread (one shared pool), 1 = serial.
+  /// hardware thread, 1 = serial.
   int threads = 0;
 
   /// Cooperative cancellation, polled at gate granularity. A cancelled

@@ -1,7 +1,6 @@
 #include "opt/search.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -49,24 +48,9 @@ IncrementalScorer::IncrementalScorer(
         });
   }
 
-  // Auto-sized runs share one long-lived pool (spawning and joining
-  // threads per optimize() call would dominate small netlists); the pool
-  // is a single-submitter structure, so concurrent builds serialise on
-  // the guard mutex. An explicit thread count gets a dedicated pool.
-  util::ThreadPool* pool = nullptr;
-  std::unique_lock<std::mutex> shared_guard;
-  std::optional<util::ThreadPool> own_pool;
-  if (threads == 0) {
-    static std::mutex shared_pool_mutex;
-    static util::ThreadPool shared_pool(0);
-    shared_guard = std::unique_lock<std::mutex>(shared_pool_mutex);
-    pool = &shared_pool;
-  } else {
-    own_pool.emplace(threads);
-    pool = &*own_pool;
-  }
-  threads_used_ = pool->thread_count();
-  pool->parallel_for(tables_.size(), [&](std::size_t gi) {
+  util::ThreadPool pool(threads);
+  threads_used_ = pool.thread_count();
+  pool.parallel_for(tables_.size(), [&](std::size_t gi) {
     if (cancellable) cancel.check("optimize");
     thread_local ScoreScratch scratch;
     thread_local std::vector<SignalStats> inputs;

@@ -58,9 +58,9 @@ class IncrementalScorer {
 public:
   /// Builds the per-gate tables (the expensive one-time pass; polls
   /// `cancel` per gate). `pi_stats` must cover all primary inputs.
-  /// Catalogs are fetched serially in GateId order; scoring runs on the
-  /// process-wide shared pool for `threads` == 0 and on a dedicated pool
-  /// of `threads` workers otherwise (1 = serial).
+  /// Catalogs are fetched serially in GateId order; scoring runs on a
+  /// pool of `threads` workers made for this call (0 = one per hardware
+  /// thread, 1 = serial).
   IncrementalScorer(const netlist::Netlist& netlist,
                     const std::map<netlist::NetId, boolfn::SignalStats>&
                         pi_stats,

@@ -5,8 +5,7 @@
 namespace tr::sim {
 
 void EventScheduler::reset(double bucket_width, int bucket_count) {
-  TR_ASSERT(bucket_count >= 0);
-  TR_ASSERT(bucket_count == 0 || bucket_width > 0.0);
+  TR_ASSERT(bucket_count > 0 && bucket_width > 0.0);
   head_.assign(static_cast<std::size_t>(bucket_count), nil);
   bucket_count_ = bucket_count;
   slot_.clear();
@@ -15,14 +14,12 @@ void EventScheduler::reset(double bucket_width, int bucket_count) {
   bucket_events_ = 0;
   cursor_ = 0;
   width_ = bucket_width;
-  inv_width_ = bucket_count > 0 ? 1.0 / bucket_width : 0.0;
+  inv_width_ = 1.0 / bucket_width;
   window_start_ = 0.0;
-  window_end_ = bucket_count > 0
-                    ? bucket_width * static_cast<double>(bucket_count)
-                    : 0.0;
+  window_end_ = bucket_width * static_cast<double>(bucket_count);
   heap_key_.clear();
   heap_payload_.clear();
-  peeked_bucket_ = -2;
+  peeked_bucket_ = -1;
 }
 
 void EventScheduler::reserve(std::size_t near_events,
@@ -32,10 +29,6 @@ void EventScheduler::reserve(std::size_t near_events,
   heap_key_.reserve(far_events);
   heap_payload_.reserve(far_events);
 }
-
-
-
-
 
 std::size_t EventScheduler::allocated_bytes() const noexcept {
   return slot_.capacity() * sizeof(Event) +
@@ -133,9 +126,9 @@ void EventScheduler::bucket_insert(const Event& ev) {
 }
 
 void EventScheduler::push(double time, std::uint64_t order,
-                                 std::uint32_t payload) {
-  peeked_bucket_ = -2;
-  if (bucket_count_ == 0 || time >= window_end_) {
+                          std::uint32_t payload) {
+  peeked_bucket_ = -1;
+  if (time >= window_end_) {
     heap_push(time, order, payload);
     return;
   }
@@ -145,12 +138,6 @@ void EventScheduler::push(double time, std::uint64_t order,
 }
 
 bool EventScheduler::peek(Event& out) {
-  if (bucket_count_ == 0) {
-    if (heap_key_.empty()) return false;
-    out = Event{heap_key_[0].time, heap_key_[0].order, heap_payload_[0]};
-    peeked_bucket_ = -1;
-    return true;
-  }
   for (;;) {
     while (cursor_ < bucket_count_) {
       const std::int32_t head = head_[static_cast<std::size_t>(cursor_)];
@@ -181,22 +168,17 @@ bool EventScheduler::peek(Event& out) {
 }
 
 void EventScheduler::pop() {
-  TR_ASSERT(peeked_bucket_ != -2);
-  if (peeked_bucket_ == -1) {
-    heap_pop();
+  TR_ASSERT(peeked_bucket_ >= 0);
+  const std::size_t slot = static_cast<std::size_t>(peeked_slot_);
+  if (peeked_prev_ == nil) {
+    head_[static_cast<std::size_t>(peeked_bucket_)] = link_[slot];
   } else {
-    const std::size_t slot = static_cast<std::size_t>(peeked_slot_);
-    if (peeked_prev_ == nil) {
-      head_[static_cast<std::size_t>(peeked_bucket_)] = link_[slot];
-    } else {
-      link_[static_cast<std::size_t>(peeked_prev_)] = link_[slot];
-    }
-    link_[slot] = free_head_;
-    free_head_ = peeked_slot_;
-    --bucket_events_;
+    link_[static_cast<std::size_t>(peeked_prev_)] = link_[slot];
   }
-  peeked_bucket_ = -2;
+  link_[slot] = free_head_;
+  free_head_ = peeked_slot_;
+  --bucket_events_;
+  peeked_bucket_ = -1;
 }
-
 
 }  // namespace tr::sim

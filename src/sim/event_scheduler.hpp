@@ -31,12 +31,11 @@
 //    top when everything is far future — and pulls the now-near events
 //    into the calendar.
 //
-// `bucket_count == 0` selects pure heap mode (the "irregular delays"
-// fallback, also used directly for degenerate input processes). All
-// storage is retained across reset() and growth tracks only the global
-// high-water event population (never per-bucket tails), so a scheduler
-// owned by a ReplicationScratch reaches an allocation-free steady state
-// after warmup.
+// Every pop comes from the calendar; the heap only holds events until
+// the window reaches them. All storage is retained across reset() and
+// growth tracks only the global high-water event population (never
+// per-bucket tails), so a scheduler owned by a ReplicationScratch
+// reaches an allocation-free steady state after warmup.
 
 #include <cstddef>
 #include <cstdint>
@@ -74,9 +73,8 @@ public:
   };
 
   /// Prepares for one replication starting at time 0. `bucket_count`
-  /// must be 0 (pure heap mode) or a positive count; `bucket_width`
-  /// must be > 0 when buckets are used. Previously grown storage is
-  /// kept, so steady-state reuse does not allocate.
+  /// and `bucket_width` must be > 0. Previously grown storage is kept,
+  /// so steady-state reuse does not allocate.
   void reset(double bucket_width, int bucket_count);
 
   /// Grows the lanes to hold the given in-flight event counts without
@@ -139,9 +137,9 @@ private:
   std::vector<Key> heap_key_;
   std::vector<std::uint32_t> heap_payload_;
 
-  // peek() -> pop() handoff: -2 nothing peeked, -1 heap top, else the
-  // bucket holding the minimum, whose slot/predecessor allow unlinking.
-  int peeked_bucket_ = -2;
+  // peek() -> pop() handoff: -1 nothing peeked, else the bucket holding
+  // the minimum, whose slot/predecessor allow unlinking.
+  int peeked_bucket_ = -1;
   std::int32_t peeked_slot_ = nil;
   std::int32_t peeked_prev_ = nil;
 };

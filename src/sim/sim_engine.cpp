@@ -120,10 +120,7 @@ private:
           static_cast<std::uint8_t>((hot.out_fn >> minterm) & 1u);
     }
 
-    s.scheduler.reset(e.scheduler_width_,
-                      e.options_.scheduler == SchedulerKind::heap
-                          ? 0
-                          : e.scheduler_buckets_);
+    s.scheduler.reset(e.scheduler_width_, e.scheduler_buckets_);
     // In-flight events: one outstanding toggle per PI plus pending and
     // not-yet-expired stale commits. Reserving for the typical case up
     // front means replication reuse reaches its allocation-free steady
@@ -447,21 +444,17 @@ void SimEngine::build_gates() {
   // make commit avalanches pile into the cursor bucket and the min-scan
   // quadratic in the burst, which is exactly the measured failure mode.
   // The bucket count scales with the expected in-flight population (one
-  // outstanding toggle per PI plus the pending-commit burst). Degenerate
-  // processes (no toggling inputs) get pure heap mode.
-  if (pi_rate_sum_ > 0.0) {
-    const std::size_t pis = pi_order_.size();
-    const double amplification =
-        std::max(1.0, static_cast<double>(gates) /
-                          static_cast<double>(std::max<std::size_t>(pis, 1)));
-    std::size_t buckets = 64;
-    while (buckets < 4 * pis && buckets < 65536) buckets *= 2;
-    scheduler_buckets_ = static_cast<int>(buckets);
-    scheduler_width_ = 1.0 / (2.0 * pi_rate_sum_ * amplification);
-  } else {
-    scheduler_buckets_ = 0;
-    scheduler_width_ = 0.0;
-  }
+  // outstanding toggle per PI plus the pending-commit burst). Without a
+  // toggling input no event is ever pushed, so any valid grid will do.
+  const std::size_t pis = pi_order_.size();
+  const double amplification =
+      std::max(1.0, static_cast<double>(gates) /
+                        static_cast<double>(std::max<std::size_t>(pis, 1)));
+  std::size_t buckets = 64;
+  while (buckets < 4 * pis && buckets < 65536) buckets *= 2;
+  scheduler_buckets_ = static_cast<int>(buckets);
+  scheduler_width_ =
+      pi_rate_sum_ > 0.0 ? 1.0 / (2.0 * pi_rate_sum_ * amplification) : 1.0;
 }
 
 SimResult SimEngine::run(std::uint64_t seed) const {

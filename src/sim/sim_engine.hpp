@@ -174,7 +174,7 @@ private:
   std::vector<std::uint32_t> flat_arc_off_;  ///< [nets+1] fanout CSR
   std::vector<Arc> flat_arc_;                ///< per arc
   double pi_rate_sum_ = 0.0;  ///< total equilibrium PI toggle rate [1/s]
-  int scheduler_buckets_ = 0; ///< calendar size; 0 = pure heap
+  int scheduler_buckets_ = 0; ///< calendar size
   double scheduler_width_ = 0.0;
 };
 

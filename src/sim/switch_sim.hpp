@@ -40,14 +40,6 @@
 
 namespace tr::sim {
 
-/// Event-scheduler selection (DESIGN.md Sec. 10.1). `automatic` picks
-/// the bucketed calendar whenever the circuit fits its packed event
-/// encoding and the input processes give it a usable time grid, and the
-/// compact binary heap otherwise; the explicit values pin one lane for
-/// differential tests. The choice never affects results — only wall
-/// time — because both lanes realise the exact (time, level, seq) order.
-enum class SchedulerKind : std::uint8_t { automatic, calendar, heap };
-
 /// Commit-delay model selection. `elmore` (per-pin, delay-accurate) is
 /// what the paper's column S uses; `zero` (glitch-free, delta-cycle
 /// levelized) backs model validation; `unit` (uniform per-arc delay,
@@ -65,7 +57,6 @@ struct SimOptions {
   /// ask for DelayModel::zero instead).
   double unit_delay = 1e-12;
   std::uint64_t max_events = 200'000'000;  ///< runaway guard
-  SchedulerKind scheduler = SchedulerKind::automatic;
   /// Cooperative cancellation, polled every few thousand events in the
   /// event loop (a cancelled replication throws tr::util::Cancelled and
   /// yields no partial SimResult). The default token is inert and costs

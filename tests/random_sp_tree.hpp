@@ -17,6 +17,7 @@
 #include "gategraph/sp_tree.hpp"
 #include "netlist/netlist.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace tr::testutil {
 
@@ -56,9 +57,9 @@ inline celllib::CellLibrary random_sp_library(Rng& rng, int cell_count) {
     std::vector<std::string> pins;
     for (int i = 0; i < n; ++i) {
       inputs.push_back(i);
-      pins.push_back("p" + std::to_string(i));
+      pins.push_back(numbered("p", i));
     }
-    lib.add(celllib::Cell("sp" + std::to_string(c), std::move(pins),
+    lib.add(celllib::Cell(numbered("sp", c), std::move(pins),
                           random_sp_tree(std::move(inputs), rng)));
   }
   return lib;
@@ -71,7 +72,7 @@ inline netlist::Netlist random_sp_netlist(const celllib::CellLibrary& lib,
   netlist::Netlist nl(lib, "sp_rand");
   std::vector<netlist::NetId> pool;
   for (int i = 0; i < 6; ++i) {
-    const netlist::NetId id = nl.add_net("x" + std::to_string(i));
+    const netlist::NetId id = nl.add_net(numbered("x", i));
     nl.mark_primary_input(id);
     pool.push_back(id);
   }
@@ -82,8 +83,8 @@ inline netlist::Netlist random_sp_netlist(const celllib::CellLibrary& lib,
     const int arity = lib.cell(cell).input_count();
     rng.shuffle(pool.begin(), pool.end());
     std::vector<netlist::NetId> inputs(pool.begin(), pool.begin() + arity);
-    const netlist::NetId out = nl.add_net("t" + std::to_string(g));
-    nl.add_gate("g" + std::to_string(g), cell, std::move(inputs), out);
+    const netlist::NetId out = nl.add_net(numbered("t", g));
+    nl.add_gate(numbered("g", g), cell, std::move(inputs), out);
     pool.push_back(out);
   }
   for (netlist::NetId id = 0; id < nl.net_count(); ++id) {

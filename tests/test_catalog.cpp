@@ -2,15 +2,20 @@
 // and the configuration isomorphism they are built on: every derived
 // table must equal direct graph characterisation bit for bit, the
 // enumeration order must match GateTopology::all_reorderings (and, as a
-// set, the brute-force oracle of tests/oracle/), and the CellLibrary
-// cache must share catalogs.
+// set, the brute-force oracle of tests/oracle/), every pin-delay row
+// must equal the Elmore walk on its configuration's own graph, and the
+// CellLibrary cache must share catalogs.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "celllib/catalog.hpp"
+#include "celllib/cell.hpp"
 #include "celllib/library.hpp"
+#include "delay/elmore.hpp"
 #include "gategraph/gate_graph.hpp"
 #include "gategraph/isomorphism.hpp"
 #include "oracle/reference_oracle.hpp"
@@ -60,6 +65,36 @@ void expect_catalog_matches_graphs(const ReorderCatalog& catalog) {
   }
 }
 
+/// Asserts every pin-delay row of the catalog, under two technologies and
+/// two loads, equals delay::gate_delays on the configuration's own graph:
+/// the oracle the rows derived from an instance representative must
+/// reproduce bit for bit.
+void expect_pin_delays_match_graphs(const ReorderCatalog& catalog) {
+  Tech fast;
+  fast.r_n = 4e3;
+  fast.r_p = 7e3;
+  fast.c_diff = 1.5e-15;
+  for (const Tech& tech : {Tech{}, fast}) {
+    for (const double load : {3e-15, 11e-15}) {
+      const PinDelayTable& table = catalog.pin_delays(tech, load);
+      for (std::size_t c = 0; c < catalog.configs().size(); ++c) {
+        SCOPED_TRACE(testing::Message() << "config " << c << " load " << load
+                                        << " r_n " << tech.r_n);
+        const GateGraph graph(catalog.configs()[c].topology);
+        const std::vector<double> want =
+            delay::gate_delays(graph, node_capacitances(graph, tech, load),
+                               tech)
+                .pin_delay;
+        const std::span<const double> got = table.pins(static_cast<int>(c));
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t p = 0; p < want.size(); ++p) {
+          EXPECT_EQ(got[p], want[p]) << "pin " << p;
+        }
+      }
+    }
+  }
+}
+
 TEST(ReorderCatalog, EveryLibraryCellMatchesGraphOracle) {
   const CellLibrary lib = CellLibrary::standard();
   for (const std::string& name : lib.cell_names()) {
@@ -67,6 +102,7 @@ TEST(ReorderCatalog, EveryLibraryCellMatchesGraphOracle) {
     const ReorderCatalog catalog =
         ReorderCatalog::build(lib.cell(name).topology());
     expect_catalog_matches_graphs(catalog);
+    expect_pin_delays_match_graphs(catalog);
     // Derivation must actually kick in for every multi-config cell with
     // instance-mates (sanity that the fast path is exercised).
     EXPECT_LE(catalog.characterized_instances(),
@@ -176,7 +212,9 @@ TEST(ReorderCatalog, RandomTopologiesMatchGraphOracle) {
         testutil::random_sp_tree(inputs, rng, /*max_groups=*/3), n);
     if (gate.reordering_count_formula() > 64) continue;  // keep it fast
     SCOPED_TRACE(gate.canonical_key());
-    expect_catalog_matches_graphs(ReorderCatalog::build(gate));
+    const ReorderCatalog catalog = ReorderCatalog::build(gate);
+    expect_catalog_matches_graphs(catalog);
+    expect_pin_delays_match_graphs(catalog);
   }
 }
 

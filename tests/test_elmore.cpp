@@ -8,6 +8,7 @@
 #include "celllib/library.hpp"
 #include "delay/elmore.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace tr::delay {
 namespace {
@@ -98,8 +99,8 @@ TEST(CircuitDelay, ChainAccumulates) {
   auto prev = nl.add_net("a");
   nl.mark_primary_input(prev);
   for (int i = 0; i < 5; ++i) {
-    const auto next = nl.add_net("n" + std::to_string(i));
-    nl.add_gate("u" + std::to_string(i), "inv", {prev}, next);
+    const auto next = nl.add_net(numbered("n", i));
+    nl.add_gate(numbered("u", i), "inv", {prev}, next);
     prev = next;
   }
   nl.mark_primary_output(prev);
@@ -110,7 +111,7 @@ TEST(CircuitDelay, ChainAccumulates) {
   for (int i = 0; i < 5; ++i) {
     const double arr =
         cd.net_arrival[static_cast<std::size_t>(nl.find_net(
-            "n" + std::to_string(i)))];
+            numbered("n", i)))];
     EXPECT_GT(arr, last);
     last = arr;
   }

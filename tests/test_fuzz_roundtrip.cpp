@@ -20,6 +20,7 @@
 #include "netlist/verilog.hpp"
 #include "opt/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace tr::netlist {
 namespace {
@@ -61,8 +62,8 @@ std::vector<FuzzCase> fuzz_cases() {
 
 Netlist make_circuit(const FuzzCase& c) {
   benchgen::RandomCircuitSpec spec;
-  spec.name = "fuzz_g" + std::to_string(c.gates) + "_s" +
-              std::to_string(c.seed & 0xff);
+  spec.name =
+      numbered("fuzz_g", c.gates) + numbered("_s", c.seed & 0xff);
   spec.target_gates = c.gates;
   spec.primary_inputs = c.primary_inputs;
   spec.seed = c.seed;
@@ -176,9 +177,9 @@ TEST_P(FuzzRoundtrip, ActivityPreserved) {
 INSTANTIATE_TEST_SUITE_P(
     Seeded, FuzzRoundtrip, ::testing::ValuesIn(fuzz_cases()),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
-      return "g" + std::to_string(info.param.gates) + "_i" +
-             std::to_string(info.param.primary_inputs) + "_s" +
-             std::to_string(info.param.seed & 0xffff);
+      return numbered("g", info.param.gates) +
+             numbered("_i", info.param.primary_inputs) +
+             numbered("_s", info.param.seed & 0xffff);
     });
 
 }  // namespace

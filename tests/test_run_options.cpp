@@ -133,7 +133,8 @@ Rejected rejected_inputs(const OptionMeta& meta) {
 
 /// A one-field request document (plus c17 unless the field is circuits).
 std::string request_with(const OptionMeta& meta, const std::string& json) {
-  const std::string field = "\"" + std::string(meta.name) + "\": " + json;
+  const std::string field =
+      std::string("\"").append(meta.name).append("\": ").append(json);
   return meta.kind == OptionKind::circuits
              ? "{" + field + "}"
              : "{\"circuits\": [\"c17\"], " + field + "}";

@@ -176,7 +176,7 @@ TEST(DelayBudgetOption, UnsetAndZeroAreDistinctAndNegativeRejected) {
   OptimizeOptions zero;
   zero.max_circuit_delay_increase = 0.0;
   const OptimizeReport constrained = run(zero);
-  // Both runs build their tables on the same shared pool.
+  // Both runs build their tables on pools of the same auto-sized width.
   EXPECT_EQ(constrained.threads_used, unconstrained.threads_used);
   // A zero-slack budget constrains for real on this circuit.
   EXPECT_GE(constrained.model_power_after, unconstrained.model_power_after);

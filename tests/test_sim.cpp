@@ -16,6 +16,7 @@
 #include "sim/sim_engine.hpp"
 #include "sim/switch_sim.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace tr::sim {
 namespace {
@@ -36,8 +37,8 @@ Netlist inverter_chain(int length) {
   NetId prev = nl.add_net("a");
   nl.mark_primary_input(prev);
   for (int i = 0; i < length; ++i) {
-    const NetId next = nl.add_net("n" + std::to_string(i));
-    nl.add_gate("u" + std::to_string(i), "inv", {prev}, next);
+    const NetId next = nl.add_net(numbered("n", i));
+    nl.add_gate(numbered("u", i), "inv", {prev}, next);
     prev = next;
   }
   nl.mark_primary_output(prev);
@@ -89,7 +90,7 @@ TEST(SwitchSim, InverterChainPropagatesEveryTransition) {
   const double d = 2e5;
   const SimResult r = simulate(nl, {{a, SignalStats{0.5, d}}}, tech, opt);
   for (int i = 0; i < 4; ++i) {
-    const NetId net = nl.find_net("n" + std::to_string(i));
+    const NetId net = nl.find_net(numbered("n", i));
     EXPECT_NEAR(r.nets[static_cast<std::size_t>(net)].density /
                     r.nets[static_cast<std::size_t>(a)].density,
                 1.0, 1e-9)
@@ -154,7 +155,7 @@ TEST(SwitchSim, ZeroDelayDensityTracksNajmOnReadOnceCircuit) {
   Netlist nl(lib(), "nandtree");
   std::vector<NetId> level;
   for (int i = 0; i < 8; ++i) {
-    const NetId net = nl.add_net("x" + std::to_string(i));
+    const NetId net = nl.add_net(numbered("x", i));
     nl.mark_primary_input(net);
     level.push_back(net);
   }
@@ -162,8 +163,8 @@ TEST(SwitchSim, ZeroDelayDensityTracksNajmOnReadOnceCircuit) {
   while (level.size() > 1) {
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      const NetId out = nl.add_net("t" + std::to_string(counter));
-      nl.add_gate("g" + std::to_string(counter++), "nand2",
+      const NetId out = nl.add_net(numbered("t", counter));
+      nl.add_gate(numbered("g", counter++), "nand2",
                   {level[i], level[i + 1]}, out);
       next.push_back(out);
     }
@@ -223,8 +224,8 @@ TEST(SwitchSim, GateDelaysCreateGlitches) {
   nl.mark_primary_input(a);
   NetId prev = a;
   for (int i = 0; i < 3; ++i) {  // odd-length inverter chain = !a, skewed
-    const NetId next = nl.add_net("n" + std::to_string(i));
-    nl.add_gate("u" + std::to_string(i), "inv", {prev}, next);
+    const NetId next = nl.add_net(numbered("n", i));
+    nl.add_gate(numbered("u", i), "inv", {prev}, next);
     prev = next;
   }
   const NetId y = nl.add_net("y");
@@ -311,7 +312,7 @@ TEST(SimEngine, RefusesGateWiderThanSixInputs) {
   std::vector<std::string> pins;
   std::vector<gategraph::SpNode> leaves;
   for (int i = 0; i < 7; ++i) {
-    pins.push_back("i" + std::to_string(i));
+    pins.push_back(numbered("i", i));
     leaves.push_back(gategraph::SpNode::transistor(i));
   }
   wide_lib.add(celllib::Cell("nor7", pins,
@@ -320,7 +321,7 @@ TEST(SimEngine, RefusesGateWiderThanSixInputs) {
   std::vector<NetId> inputs;
   std::map<NetId, SignalStats> stats;
   for (int i = 0; i < 7; ++i) {
-    inputs.push_back(nl.add_net("x" + std::to_string(i)));
+    inputs.push_back(nl.add_net(numbered("x", i)));
     nl.mark_primary_input(inputs.back());
     stats[inputs.back()] = {0.5, 1e5};
   }
@@ -360,7 +361,7 @@ TEST(SimEngine, RefusesGateWithMoreInternalNodesThanTheNodeMask) {
     for (int d = 0; d <= nodes; ++d) {
       stack.push_back(gategraph::SpNode::transistor(d < nodes ? 0 : 1));
     }
-    tall_lib.add(celllib::Cell("stack" + std::to_string(nodes), {"a", "b"},
+    tall_lib.add(celllib::Cell(numbered("stack", nodes), {"a", "b"},
                                gategraph::SpNode::series(std::move(stack))));
   }
   const auto one_gate = [&](int nodes) {
@@ -370,7 +371,7 @@ TEST(SimEngine, RefusesGateWithMoreInternalNodesThanTheNodeMask) {
     const NetId y = nl.add_net("y");
     nl.mark_primary_input(a);
     nl.mark_primary_input(b);
-    nl.add_gate("tall_nand", "stack" + std::to_string(nodes), {a, b}, y);
+    nl.add_gate("tall_nand", numbered("stack", nodes), {a, b}, y);
     nl.mark_primary_output(y);
     return nl;
   };
@@ -417,7 +418,7 @@ TEST(SimEngine, RefusesCircuitDeeperThanTheLevelRange) {
               tech, opt);
   });
   EXPECT_EQ(error.code(), ErrorCode::invalid_argument);
-  const std::string last = "'u" + std::to_string(EventScheduler::max_level) + "'";
+  const std::string last = numbered("'u", EventScheduler::max_level) + "'";
   EXPECT_NE(std::string(error.what()).find(last), std::string::npos)
       << error.what();
 }

@@ -1,8 +1,8 @@
 // Differential suite pinning SimEngine bit-identical to the pre-rewrite
 // reference event loop (tests/oracle/reference_sim.hpp, DESIGN.md
 // Sec. 10.5): same SimResult for every seed under the Elmore, zero- and
-// unit-delay models, truncation (uniform and mixed budgets), both
-// scheduler lanes, seeded random SP-tree netlists and every catalog
+// unit-delay models, truncation (uniform and mixed budgets), frozen
+// inputs, seeded random SP-tree netlists and every catalog
 // configuration of every library cell; plus the
 // scratch-reuse contracts — zero steady-state allocation on a scaled
 // circuit and Monte-Carlo thread-scratch safety.
@@ -27,6 +27,7 @@
 #include "sim/monte_carlo.hpp"
 #include "sim/sim_engine.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counter: global operator new/delete instrumented so the
@@ -99,24 +100,19 @@ void expect_results_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.measured_time, b.measured_time);
 }
 
-/// SimEngine (both scheduler lanes) vs the reference oracle on one
-/// engine configuration, across several replicate seeds.
+/// SimEngine vs the reference oracle on one engine configuration, across
+/// several replicate seeds.
 void differential_check(const Netlist& nl,
                         const std::map<NetId, SignalStats>& stats,
-                        SimOptions opt,
+                        const SimOptions& opt,
                         const std::vector<std::uint64_t>& seeds) {
   const Tech tech;
-  opt.scheduler = SchedulerKind::calendar;
-  const SimEngine calendar(nl, stats, tech, opt);
-  opt.scheduler = SchedulerKind::heap;
-  const SimEngine heap(nl, stats, tech, opt);
+  const SimEngine engine(nl, stats, tech, opt);
   const oracle::ReferenceSim reference(nl, stats, tech, opt);
   ReplicationScratch scratch;
   for (std::uint64_t seed : seeds) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    const SimResult oracle = reference.run(seed);
-    expect_results_identical(calendar.run(seed, scratch), oracle);
-    expect_results_identical(heap.run(seed, scratch), oracle);
+    expect_results_identical(engine.run(seed, scratch), reference.run(seed));
   }
 }
 
@@ -233,7 +229,7 @@ TEST(SimDifferential, EveryLibraryCellInEveryConfiguration) {
   std::vector<NetId> pis;
   std::map<NetId, SignalStats> stats;
   for (std::size_t i = 0; i < width; ++i) {
-    pis.push_back(nl.add_net("x" + std::to_string(i)));
+    pis.push_back(nl.add_net(numbered("x", i)));
     nl.mark_primary_input(pis.back());
     stats[pis.back()] = {0.5, 3e5};
   }
@@ -244,7 +240,7 @@ TEST(SimDifferential, EveryLibraryCellInEveryConfiguration) {
                                     pis.begin() + cell.input_count());
     for (const celllib::CatalogConfig& config :
          lib().catalog(cell.topology())->configs()) {
-      const std::string gate = "g" + std::to_string(nl.gate_count());
+      const std::string gate = numbered("g", nl.gate_count());
       const NetId y = nl.add_net(gate + "_y");
       nl.set_config(nl.add_gate(gate, name, inputs, y), config.topology);
       nl.mark_primary_output(y);

@@ -17,6 +17,7 @@
 #include "oracle/power_validation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace tr::power {
 namespace {
@@ -96,7 +97,7 @@ TEST(Validation, EveryLibraryCellAgreesGlitchFree) {
     const int arity = lib().cell(cell_name).input_count();
     std::vector<NetId> inputs;
     for (int i = 0; i < arity; ++i) {
-      const NetId id = nl.add_net("x" + std::to_string(i));
+      const NetId id = nl.add_net(numbered("x", i));
       nl.mark_primary_input(id);
       inputs.push_back(id);
     }
@@ -122,7 +123,7 @@ TEST(Validation, ExtendedModelBiasIsSystematicOnDeepStacks) {
   Netlist nl(lib(), "cell_nand4");
   std::vector<NetId> inputs;
   for (int i = 0; i < 4; ++i) {
-    const NetId id = nl.add_net("x" + std::to_string(i));
+    const NetId id = nl.add_net(numbered("x", i));
     nl.mark_primary_input(id);
     inputs.push_back(id);
   }
@@ -152,7 +153,7 @@ TEST(Validation, ReadOnceNandTreeAgreesPerGateAndInTotal) {
   Netlist nl(lib(), "nandtree");
   std::vector<NetId> level;
   for (int i = 0; i < 8; ++i) {
-    const NetId net = nl.add_net("x" + std::to_string(i));
+    const NetId net = nl.add_net(numbered("x", i));
     nl.mark_primary_input(net);
     level.push_back(net);
   }
@@ -160,8 +161,8 @@ TEST(Validation, ReadOnceNandTreeAgreesPerGateAndInTotal) {
   while (level.size() > 1) {
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      const NetId out = nl.add_net("t" + std::to_string(counter));
-      nl.add_gate("g" + std::to_string(counter++), "nand2",
+      const NetId out = nl.add_net(numbered("t", counter));
+      nl.add_gate(numbered("g", counter++), "nand2",
                   {level[i], level[i + 1]}, out);
       next.push_back(out);
     }
@@ -183,8 +184,8 @@ TEST(Validation, InverterChainHasNoInternalNodeBias) {
   NetId prev = nl.add_net("a");
   nl.mark_primary_input(prev);
   for (int i = 0; i < 4; ++i) {
-    const NetId next = nl.add_net("n" + std::to_string(i));
-    nl.add_gate("u" + std::to_string(i), "inv", {prev}, next);
+    const NetId next = nl.add_net(numbered("n", i));
+    nl.add_gate(numbered("u", i), "inv", {prev}, next);
     prev = next;
   }
   nl.mark_primary_output(prev);
@@ -213,8 +214,8 @@ TEST(Validation, ReconvergentGlitcherIsFlaggedAsDisagreement) {
   nl.mark_primary_input(a);
   NetId prev = a;
   for (int i = 0; i < 3; ++i) {
-    const NetId next = nl.add_net("n" + std::to_string(i));
-    nl.add_gate("u" + std::to_string(i), "inv", {prev}, next);
+    const NetId next = nl.add_net(numbered("n", i));
+    nl.add_gate(numbered("u", i), "inv", {prev}, next);
     prev = next;
   }
   const NetId y = nl.add_net("y");
